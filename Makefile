@@ -9,7 +9,7 @@ RACE_FAST_PKGS = ./internal/engine ./internal/biclique ./internal/transport
 CHAOS_RUNS ?= 50
 FUZZTIME   ?= 20s
 
-.PHONY: build test lint vet race race-fast bench bench-smoke obs-smoke chaos chaos-split fuzz-short cover escape-gate ci
+.PHONY: build test lint vet race race-fast bench bench-smoke obs-smoke chaos chaos-split fuzz-short cover escape-gate perfbench-test ci
 
 build:
 	$(GO) build $(PKGS)
@@ -39,14 +39,13 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x $(PKGS)
 
 ## bench-smoke: short fixed-seed batching A/B (the BENCH_3 experiment at
-## -quick scale), the store A/B (the BENCH_4 experiment at -quick scale),
-## the data-plane allocation benchmarks, and the allocation ceiling gate
-## (scripts/alloc_gate.sh, ceiling in ci/alloc_ceiling.txt). Writes
-## bench-smoke.json, which CI archives as an artifact; a regression in
-## the batched path shows up as the speedup column sliding toward 1.0.
+## -quick scale), the data-plane allocation benchmarks, and the
+## allocation ceiling gate (scripts/alloc_gate.sh, ceiling in
+## ci/alloc_ceiling.txt). Writes bench-smoke.json, which CI archives as
+## an artifact; a regression in the batched path shows up as the speedup
+## column sliding toward 1.0.
 bench-smoke:
 	$(GO) run ./cmd/fastjoin-bench -figure batch -quick -json bench-smoke.json
-	$(GO) run ./cmd/fastjoin-bench -figure store -quick -json bench-smoke-store.json
 	$(GO) test -run='^$$' -bench 'BenchmarkDataPlane' -benchtime=3x ./internal/biclique
 	./scripts/alloc_gate.sh
 
@@ -95,5 +94,10 @@ cover:
 escape-gate:
 	./scripts/escape_gate.sh
 
+## perfbench-test: vet and test the benchmark module (perfbench/, its own
+## go.mod), so a root API change that breaks the benchmark fails here.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 ## ci: everything the CI workflow gates on. `lint` includes go vet.
-ci: build lint escape-gate test race obs-smoke
+ci: build lint escape-gate test perfbench-test race obs-smoke

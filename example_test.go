@@ -132,14 +132,12 @@ func ExampleOptions_Validate() {
 	fmt.Println("cooldown:", opts.Migration.Cooldown)
 	fmt.Println("sub-windows:", opts.Windowing.SubWindows)
 	fmt.Println("batch size:", opts.Batching.Size)
-	fmt.Println("store:", opts.StoreKind)
 	fmt.Println("trace capacity:", opts.Observe.TraceCapacity)
 	// Output:
 	// theta: 2.5
 	// cooldown: 1s
 	// sub-windows: 8
 	// batch size: 32
-	// store: chunked
 	// trace capacity: 4096
 }
 

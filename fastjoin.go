@@ -150,12 +150,6 @@ func New(opts Options) (*System, error) {
 		BatchLinger:    opts.Batching.Linger,
 		Tracer:         tracer,
 	}
-	switch opts.StoreKind {
-	case StoreMap:
-		cfg.StoreImpl = biclique.StoreMap
-	default:
-		cfg.StoreImpl = biclique.StoreChunked
-	}
 	if opts.OnResult != nil {
 		cfg.EmitResults = true
 		cfg.OnResult = opts.OnResult

@@ -48,7 +48,6 @@ func All() []*Experiment {
 		expFig12_13(),
 		expFig14(),
 		expBatch(),
-		expStore(),
 		expSplit(),
 		Ablation(),
 	}
@@ -452,7 +451,7 @@ func expFig14() *Experiment {
 const zipfG10ThetaR = 1.0
 
 // pregenZipfG10 materializes the deterministic skew-group-G10 workload the
-// data-plane A/B experiments (batch, store) share, returning a factory that
+// data-plane A/B experiment (batch) uses, returning a factory that
 // replays the identical tuple slices at memory speed for every run. With a
 // full-history store the join cardinality is Σ_k |R_k|·|S_k| — a function of
 // the tuple multiset only, so every run produces the IDENTICAL result count
@@ -499,9 +498,9 @@ func pregenZipfG10(p Params) func() []fastjoin.TupleSource {
 }
 
 // expBatch is the batched-data-plane A/B (archived as BENCH_3.json): the
-// identical skewed zipf workload at fixed seed runs with batching off
-// (BatchSize 1, the legacy one-message-per-tuple path) and on (the
-// default batch size), and the report compares sustained throughput.
+// identical skewed zipf workload at fixed seed runs with batches of one
+// (BatchSize 1, one message per routed tuple) and with the default batch
+// size, and the report compares sustained throughput.
 //
 // Methodology notes:
 //   - ServiceRate is forced to 0. The emulated per-node capacity works by
@@ -589,90 +588,6 @@ func expBatch() *Experiment {
 				}
 			}
 			rep.AddNote("ServiceRate forced to 0 (capacity emulation sleeps would mask the per-message overhead under test)")
-			return []*Report{rep}, nil
-		},
-	}
-}
-
-// ---------------------------------------------------------------- store
-
-// expStore is the window-store A/B (archived as BENCH_4.json): the same
-// deterministic zipf G10 workload as the batch experiment runs against the
-// map-based reference store and the chunked arena store, both on the default
-// batched data plane. The methodology mirrors expBatch (ServiceRate 0,
-// full-history, pre-generated sources, best-of-reps); the equal-result-count
-// check doubles as a system-level differential test of the chunked store,
-// and the report carries the GC accounting the arena exists to improve.
-func expStore() *Experiment {
-	return &Experiment{
-		ID:      "store",
-		Aliases: []string{"bench4"},
-		Title:   "Window-store A/B: map reference vs chunked arena store (BENCH_4)",
-		Run: func(p Params) ([]*Report, error) {
-			p = p.withDefaults()
-			mkSources := pregenZipfG10(p)
-			reps := 3
-			if p.Quick {
-				reps = 1
-			}
-			run := func(kind fastjoin.Kind, store fastjoin.StoreKind) (BatchResult, error) {
-				var best BatchResult
-				for r := 0; r < reps; r++ {
-					opts := sysOptions(kind, p, p.Joiners, mkSources())
-					opts.ServiceRate = 0 // full-history, CPU/channel bound
-					opts.StoreKind = store
-					res, err := runBatch(kind, opts)
-					if err != nil {
-						return BatchResult{}, err
-					}
-					if r == 0 || res.Elapsed < best.Elapsed {
-						best = res
-					}
-					if res.Results != best.Results {
-						return BatchResult{}, fmt.Errorf("store %s rep %d: result count %d != %d; workload not deterministic",
-							kind, r, res.Results, best.Results)
-					}
-				}
-				return best, nil
-			}
-			rep := &Report{
-				ID:     "store",
-				Title:  fmt.Sprintf("Store map vs chunked: zipf G10 (θR=%.1f, uniform S), %d joiners/side, seed %d, BatchSize=%d", zipfG10ThetaR, p.Joiners, p.Seed, fastjoin.DefaultBatchSize),
-				XLabel: "system",
-				Columns: []string{
-					"map(results/s)", "chunked(results/s)", "speedup",
-					"map_lat_us", "chunked_lat_us",
-					"map_alloc_mb", "chunked_alloc_mb",
-				},
-			}
-			for _, kind := range []fastjoin.Kind{fastjoin.KindBiStream, fastjoin.KindFastJoin} {
-				ref, err := run(kind, fastjoin.StoreMap)
-				if err != nil {
-					return nil, fmt.Errorf("store %s map: %w", kind, err)
-				}
-				chk, err := run(kind, fastjoin.StoreChunked)
-				if err != nil {
-					return nil, fmt.Errorf("store %s chunked: %w", kind, err)
-				}
-				speedup := 0.0
-				if ref.Throughput > 0 {
-					speedup = chk.Throughput / ref.Throughput
-				}
-				rep.AddRow(kind.String(),
-					ref.Throughput, chk.Throughput, speedup,
-					ref.LatencyMeanUs, chk.LatencyMeanUs,
-					float64(ref.AllocBytes)/1e6, float64(chk.AllocBytes)/1e6)
-				rep.AddNote("%s: %d results, map %s vs chunked %s elapsed (speedup %.2fx); GC map %d cycles/%.0fµs pause, chunked %d cycles/%.0fµs pause",
-					kind, chk.Results, ref.Elapsed.Round(time.Millisecond),
-					chk.Elapsed.Round(time.Millisecond), speedup,
-					ref.GCCycles, ref.GCPauseUs, chk.GCCycles, chk.GCPauseUs)
-				if ref.Results != chk.Results {
-					return nil, fmt.Errorf("store %s: result counts diverge (map %d, chunked %d); the chunked store broke exact-match semantics",
-						kind, ref.Results, chk.Results)
-				}
-			}
-			rep.AddNote("equal result counts are the system-level differential check: both stores joined the identical multiset")
-			rep.AddNote("ServiceRate forced to 0 (capacity emulation sleeps would mask the store cost under test)")
 			return []*Report{rep}, nil
 		},
 	}
@@ -803,7 +718,7 @@ func pacedSources(srcs []fastjoin.TupleSource, perSecTotal float64) []fastjoin.T
 // and on. Without splitting the mega-key's entire probe/scan load
 // serializes on one join instance per side; with splitting the stores
 // salt across SplitWays instances and probes fan out to them, dividing
-// the per-instance scan volume by SplitWays. Unlike expBatch/expStore
+// the per-instance scan volume by SplitWays. Unlike expBatch
 // this experiment keeps the ServiceRate capacity emulation ON and paces
 // the offered load (see splitArrivalFactor): the win under test is
 // parallelism across instances, which the emulated per-instance op

@@ -30,16 +30,12 @@ type Params struct {
 	// Seed derandomizes workloads and placement.
 	Seed int64
 	// BatchSize overrides the dispatcher's data-plane batch capacity for
-	// every run (0 = system default, 1 = unbatched legacy path). The
-	// batch A/B experiment ignores it and sweeps both settings.
+	// every run (0 = system default, 1 = a batch of one). The batch A/B
+	// experiment ignores it and sweeps both settings.
 	BatchSize int
 	// BatchLinger overrides how long a partially filled batch may wait
 	// before a tick flushes it (0 = system default).
 	BatchLinger time.Duration
-	// Store overrides the joiners' window-store implementation for every
-	// run (default fastjoin.StoreChunked). The store A/B experiment
-	// ignores it and sweeps both.
-	Store fastjoin.StoreKind
 	// Quick shrinks sweeps and durations for smoke tests.
 	Quick bool
 	// ChaosProfile, when not ChaosNone, runs every system under the named
@@ -93,7 +89,7 @@ func (p Params) withDefaults() Params {
 		p.Seed = d.Seed
 	}
 	if p.BatchSize < 0 {
-		p.BatchSize = 1 // any negative spelling means "unbatched"
+		p.BatchSize = 1 // any negative spelling means a batch of one
 	}
 	if p.Quick {
 		p.Duration = min(p.Duration, 1200*time.Millisecond)
@@ -130,7 +126,6 @@ func sysOptions(kind fastjoin.Kind, p Params, joiners int, sources []fastjoin.Tu
 		StatsInterval: 50 * time.Millisecond,
 		ServiceRate:   p.ServiceRate,
 		Seed:          uint64(p.Seed),
-		StoreKind:     p.Store,
 		Migration: fastjoin.MigrationOptions{
 			Theta:        p.Theta,
 			Cooldown:     500 * time.Millisecond,
@@ -181,12 +176,6 @@ type BatchResult struct {
 	Migrations    int64
 	KeysSplit     int64
 	FinalLI       float64
-	// GC accounting of the run (fastjoin.Stats runtime gauges): cumulative
-	// bytes allocated and total GC pause. The store experiment's A/B reads
-	// the arena win off these.
-	AllocBytes uint64
-	GCPauseUs  float64
-	GCCycles   uint32
 }
 
 // runBatch pushes a finite workload through one system and measures it.
@@ -213,9 +202,6 @@ func runBatch(kind fastjoin.Kind, opts fastjoin.Options) (BatchResult, error) {
 		Migrations:    st.Migrations,
 		KeysSplit:     st.KeysSplit,
 		FinalLI:       lastLI(sys),
-		AllocBytes:    st.AllocBytes,
-		GCPauseUs:     st.GCPauseTotalUs,
-		GCCycles:      st.GCCycles,
 	}
 	return res, nil
 }

@@ -1,18 +1,22 @@
 package biclique
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"fastjoin/internal/engine"
 
 	"fastjoin/internal/core"
 	"fastjoin/internal/stream"
 )
 
 // TestBatchingExactlyOnceMatchesUnbatched runs the identical workload
-// through the legacy per-tuple path (BatchSize=1) and the batched data
-// plane, and requires both to produce exactly the reference pair set.
-// An odd batch size that never divides the lane traffic evenly is
-// included so partial-batch flushes (linger/idle) carry real weight.
+// with batches of one (BatchSize=1) and with larger batches, and requires
+// every run to produce exactly the reference pair set. An odd batch size
+// that never divides the lane traffic evenly is included so partial-batch
+// flushes (linger/idle) carry real weight.
 func TestBatchingExactlyOnceMatchesUnbatched(t *testing.T) {
 	tuples := makeWorkload(6000, 50, 0.3, 11)
 	want := referenceJoin(tuples, nil)
@@ -54,8 +58,7 @@ func TestBatchingExactlyOnceUnderMigration(t *testing.T) {
 }
 
 // TestBatchConfigValidation pins the BatchSize knob semantics: zero means
-// "default batching", one means the legacy unbatched path, negatives are
-// rejected.
+// "default batching", one means a batch of one, negatives are rejected.
 func TestBatchConfigValidation(t *testing.T) {
 	base := func() Config {
 		cfg := baseConfig()
@@ -79,12 +82,60 @@ func TestBatchConfigValidation(t *testing.T) {
 		t.Fatalf("Validate(BatchSize=1): %v", err)
 	}
 	if cfg.BatchSize != 1 {
-		t.Errorf("BatchSize=1 rewritten to %d; must stay the unbatched path", cfg.BatchSize)
+		t.Errorf("BatchSize=1 rewritten to %d; must stay a batch of one", cfg.BatchSize)
 	}
 
 	cfg = base()
 	cfg.BatchSize = -3
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative BatchSize accepted")
+	}
+}
+
+// TestDataLanesCarryOnlyBatches records every enqueue on the data hops and
+// requires each to be a batch or a fence mark: the shuffler→dispatcher
+// hop carries only ShuffleBatch and the dispatcher→joiner hops only
+// TupleBatch or marks, at every batch size — BatchSize=1 is a batch of
+// one, never a bare stream.Tuple or TupleMsg. Migration and splitting are
+// on so the marks the lanes also carry are part of the run.
+func TestDataLanesCarryOnlyBatches(t *testing.T) {
+	tuples := makeWorkload(6000, 40, 0.5, 9)
+	for _, size := range []int{1, DefaultBatchSize} {
+		var mu sync.Mutex
+		bad := make(map[string]int)
+		cfg := baseConfig()
+		cfg.Strategy = StrategyHash
+		cfg.BatchSize = size
+		cfg.Migration = MigrationConfig{
+			Enabled: true,
+			Policy:  core.MonitorPolicy{Theta: 1.2, Cooldown: 25 * time.Millisecond, MinStored: 16},
+		}
+		enableSplit(&cfg)
+		cfg.Engine.Inject = func(target engine.Context, stream string, _ bool, value any) engine.FaultDecision {
+			ok := true
+			switch {
+			case stream == streamTuples && target.Component == CompDispatcher:
+				_, ok = value.(ShuffleBatch)
+			case stream == streamToR || stream == streamToS:
+				switch value.(type) {
+				case TupleBatch, Marker, SplitMark, UnsplitMark, SplitRetire:
+				default:
+					ok = false
+				}
+			}
+			if !ok {
+				mu.Lock()
+				bad[fmt.Sprintf("%s→%s: %T", stream, target.Component, value)]++
+				mu.Unlock()
+			}
+			return engine.FaultDecision{}
+		}
+		_, got := runFinite(t, cfg, tuples)
+		assertExactlyOnce(t, referenceJoin(tuples, nil), got)
+		mu.Lock()
+		for what, n := range bad {
+			t.Errorf("BatchSize=%d: %d non-batch messages on a data hop (%s)", size, n, what)
+		}
+		mu.Unlock()
 	}
 }

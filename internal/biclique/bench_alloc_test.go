@@ -31,7 +31,7 @@ func runBenchPipeline(b *testing.B, cfg Config, tuples []stream.Tuple) int64 {
 	return pairs.Load()
 }
 
-func benchmarkDataPlane(b *testing.B, batchSize int, store StoreImpl) {
+func benchmarkDataPlane(b *testing.B, batchSize int) {
 	// Sparse key space: few pairs actually match, so per-pair result
 	// allocations do not drown out the per-tuple transport cost the
 	// benchmark is comparing (boxing + channel send per emit vs per batch).
@@ -42,7 +42,6 @@ func benchmarkDataPlane(b *testing.B, batchSize int, store StoreImpl) {
 		cfg := baseConfig()
 		cfg.Strategy = StrategyHash
 		cfg.BatchSize = batchSize
-		cfg.StoreImpl = store
 		// Long stats interval: keep the periodic reporter out of the
 		// allocation profile so the comparison isolates the data plane.
 		cfg.StatsInterval = time.Second
@@ -59,21 +58,13 @@ func benchmarkDataPlane(b *testing.B, batchSize int, store StoreImpl) {
 	}
 }
 
-// BenchmarkDataPlaneUnbatched measures the legacy per-tuple path: every
-// dispatcher emit boxes one TupleMsg into an interface and performs one
+// BenchmarkDataPlaneBatch1 measures batches of one: every dispatcher
+// emit boxes a one-tuple TupleBatch into an interface and performs one
 // channel send.
-func BenchmarkDataPlaneUnbatched(b *testing.B) { benchmarkDataPlane(b, 1, StoreChunked) }
+func BenchmarkDataPlaneBatch1(b *testing.B) { benchmarkDataPlane(b, 1) }
 
 // BenchmarkDataPlaneBatch32 measures the batched data plane at the
-// default batch size; allocs/op must come in well below the unbatched
+// default batch size; allocs/op must come in well below the batch-of-one
 // run since boxing and channel sends are amortized ~32×. This is the
 // benchmark scripts/alloc_gate.sh holds against ci/alloc_ceiling.txt.
-func BenchmarkDataPlaneBatch32(b *testing.B) { benchmarkDataPlane(b, DefaultBatchSize, StoreChunked) }
-
-// BenchmarkDataPlaneBatch32MapStore is the same run with the map
-// reference store, making the arena's allocation win directly observable:
-//
-//	go test ./internal/biclique -bench 'DataPlaneBatch32' -benchmem
-func BenchmarkDataPlaneBatch32MapStore(b *testing.B) {
-	benchmarkDataPlane(b, DefaultBatchSize, StoreMap)
-}
+func BenchmarkDataPlaneBatch32(b *testing.B) { benchmarkDataPlane(b, DefaultBatchSize) }

@@ -51,43 +51,15 @@ func (s Strategy) String() string {
 // goroutine only (no extra synchronization needed).
 type TupleSource func() (t stream.Tuple, ok bool)
 
-// StoreImpl selects the window-store implementation of the join instances.
-type StoreImpl uint8
-
-const (
-	// StoreChunked is the chunked arena store (the default): slab-backed
-	// per-key chunk chains with an open-addressing index and O(expired)
-	// expiry. See DESIGN.md "Store memory layout".
-	StoreChunked StoreImpl = iota
-	// StoreMap is the map[Key][]Tuple reference store — the differential
-	// oracle and the A/B baseline of the bench `store` experiment.
-	StoreMap
-)
-
-// String names the store implementation as the bench flags do.
-func (s StoreImpl) String() string {
-	switch s {
-	case StoreChunked:
-		return "chunked"
-	case StoreMap:
-		return "map"
-	default:
-		return fmt.Sprintf("StoreImpl(%d)", uint8(s))
-	}
-}
-
 // newStore builds one join instance's window store per the config.
 func newStore(cfg *Config) window.Store {
-	switch {
-	case cfg.Window > 0 && cfg.StoreImpl == StoreMap:
-		return window.NewRefWindowed(cfg.Window.Nanoseconds(), cfg.SubWindows)
-	case cfg.Window > 0:
-		return window.NewWindowed(cfg.Window.Nanoseconds(), cfg.SubWindows)
-	case cfg.StoreImpl == StoreMap:
-		return window.NewRef()
-	default:
-		return window.New()
+	if cfg.storeFactory != nil {
+		return cfg.storeFactory(cfg)
 	}
+	if cfg.Window > 0 {
+		return window.NewWindowed(cfg.Window.Nanoseconds(), cfg.SubWindows)
+	}
+	return window.New()
 }
 
 // MigrationConfig controls FastJoin's dynamic load balancing.
@@ -142,9 +114,7 @@ type SplitConfig struct {
 }
 
 // DefaultBatchSize is the dispatcher batch capacity used when
-// Config.BatchSize is zero. Batching is on by default so every test and
-// chaos run exercises the batched data plane; set BatchSize to 1 for the
-// legacy unbatched path.
+// Config.BatchSize is zero.
 const DefaultBatchSize = 32
 
 // Config parameterizes a biclique join system.
@@ -175,8 +145,8 @@ type Config struct {
 	// BatchSize is the dispatcher's per-(side, target) batch capacity: up
 	// to BatchSize routed tuples travel as one TupleBatch message (one
 	// channel send, one boxed value for the whole group). 0 means the
-	// default (DefaultBatchSize); 1 disables batching and restores the
-	// one-message-per-tuple data plane (the A/B baseline).
+	// default (DefaultBatchSize); 1 means a batch of one, flushed as soon
+	// as it fills.
 	BatchSize int
 	// BatchLinger bounds how long a partially filled batch may sit in the
 	// dispatcher under light load before a tick flushes it (default 2ms;
@@ -184,10 +154,6 @@ type Config struct {
 	// regardless — the linger only matters while the task stays busy with
 	// other lanes' traffic.
 	BatchLinger time.Duration
-	// StoreImpl selects the join instances' window-store implementation:
-	// StoreChunked (the default arena store) or StoreMap (the reference
-	// layout, kept for A/B benchmarking and differential testing).
-	StoreImpl StoreImpl
 	// Window is the join window span; zero means full-history join.
 	Window time.Duration
 	// SubWindows is the number of sub-windows when Window > 0 (default 8).
@@ -238,6 +204,11 @@ type Config struct {
 	// MatchCost is the virtual op cost per scanned stored tuple during a
 	// probe (default 0.01 when ServiceRate is set).
 	MatchCost float64
+
+	// storeFactory, when set, replaces the chunked window store. It is a
+	// test seam: the system-scale differential runs the map reference
+	// store (window.NewRef*) through it.
+	storeFactory func(*Config) window.Store
 }
 
 // Validate checks the configuration and fills defaults in place.
@@ -266,9 +237,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Window < 0 {
 		return fmt.Errorf("biclique: negative window")
-	}
-	if c.StoreImpl > StoreMap {
-		return fmt.Errorf("biclique: unknown store implementation %v", c.StoreImpl)
 	}
 	if c.Dispatchers <= 0 {
 		c.Dispatchers = 2

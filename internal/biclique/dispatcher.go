@@ -1,6 +1,8 @@
 package biclique
 
 import (
+	"slices"
+
 	"fastjoin/internal/engine"
 	"fastjoin/internal/obs"
 	"fastjoin/internal/routing"
@@ -11,34 +13,50 @@ import (
 // (§III-A): it stamps event time on tuples that lack one, applies the
 // user-defined pre-processing function if configured, and forwards the
 // tuples to the dispatcher task owning the tuple's key. The key→task
-// mapping lives here (not in an engine grouping) so that with batching
-// enabled the bolt can accumulate a per-dispatcher lane and ship it as
-// one ShuffleBatch; either way all traffic of one key flows through a
-// single dispatcher task in arrival order.
+// mapping lives here (not in an engine grouping) so that the bolt can
+// accumulate a per-dispatcher lane and ship it as one ShuffleBatch; all
+// traffic of one key flows through a single dispatcher task in arrival
+// order.
 type shufflerBolt struct {
 	pre   func(stream.Tuple) stream.Tuple
 	batch int
-	nDisp int
-	lanes []shuffleLane
+	lanes []lane[stream.Tuple]
 }
 
-// shuffleLane is one open shuffler→dispatcher batch; like batchLane the
-// slice is handed off on emit and never reused.
-type shuffleLane struct {
-	tuples []stream.Tuple
+// lane is one open batch of a data hop: shuffler→dispatcher or
+// dispatcher→joiner. The slice is handed to the consumer on flush and
+// never reused afterwards, so duplicated deliveries (fault injection)
+// never observe a reused backing array.
+type lane[T any] []T
+
+// add appends v, allocating a batch of the given capacity when the lane
+// is empty, and reports whether the lane is full.
+func (l *lane[T]) add(v T, capacity int) bool {
+	if *l == nil {
+		*l = make([]T, 0, capacity)
+	}
+	*l = append(*l, v)
+	return len(*l) >= capacity
+}
+
+// take hands off the open batch (nil when empty) and starts a fresh one.
+func (l *lane[T]) take() []T {
+	batch := *l
+	*l = nil
+	return batch
 }
 
 func newShufflerFactory(cfg *Config) engine.BoltFactory {
 	return func(int) engine.Bolt {
-		return &shufflerBolt{pre: cfg.PreProcess, batch: cfg.BatchSize, nDisp: cfg.Dispatchers}
+		return &shufflerBolt{
+			pre:   cfg.PreProcess,
+			batch: cfg.BatchSize,
+			lanes: make([]lane[stream.Tuple], cfg.Dispatchers),
+		}
 	}
 }
 
-func (b *shufflerBolt) Prepare(engine.Context, *engine.Collector) {
-	if b.batch > 1 {
-		b.lanes = make([]shuffleLane, b.nDisp)
-	}
-}
+func (b *shufflerBolt) Prepare(engine.Context, *engine.Collector) {}
 
 func (b *shufflerBolt) Execute(m engine.Message, out *engine.Collector) {
 	if m.Stream == engine.TickStream {
@@ -55,28 +73,16 @@ func (b *shufflerBolt) Execute(m engine.Message, out *engine.Collector) {
 	if t.EventTime == 0 {
 		t.EventTime = stream.Now()
 	}
-	target := int(uint64(t.Key) % uint64(b.nDisp))
-	if b.batch <= 1 {
-		out.EmitDirect(streamTuples, target, t)
-		return
-	}
-	ln := &b.lanes[target]
-	if ln.tuples == nil {
-		ln.tuples = make([]stream.Tuple, 0, b.batch)
-	}
-	ln.tuples = append(ln.tuples, t)
-	if len(ln.tuples) >= b.batch {
+	target := int(uint64(t.Key) % uint64(len(b.lanes)))
+	if b.lanes[target].add(t, b.batch) {
 		b.flushShuffleLane(target, out)
 	}
 }
 
 func (b *shufflerBolt) flushShuffleLane(target int, out *engine.Collector) {
-	ln := &b.lanes[target]
-	if len(ln.tuples) == 0 {
-		return
+	if tuples := b.lanes[target].take(); len(tuples) > 0 {
+		out.EmitDirect(streamTuples, target, ShuffleBatch{Tuples: tuples})
 	}
-	out.EmitDirect(streamTuples, target, ShuffleBatch{Tuples: ln.tuples})
-	ln.tuples = nil // ownership handed off; no recycling
 }
 
 func (b *shufflerBolt) flushAll(out *engine.Collector) {
@@ -96,14 +102,13 @@ func (b *shufflerBolt) Cleanup() {}
 // group per the strategy. It maintains the routing table that FastJoin's
 // migrations rewrite, acking every update back with a marker.
 //
-// With Config.BatchSize > 1 the bolt runs the batched data plane: routed
-// tuples accumulate per (side, target) lane and travel as one TupleBatch
-// message once the lane fills, a linger tick fires, or the engine's idle
-// flush runs (the task's data queue drained). Lane order is preserved —
-// a batch is one channel send carrying the lane's tuples in routing
-// order — and every open batch is flushed before a Marker is emitted, so
-// the migration fencing argument ("the marker rides behind every tuple
-// this task routed there before the update") survives batching intact.
+// Routed tuples accumulate per (side, target) lane and travel as one
+// TupleBatch message once the lane holds Config.BatchSize tuples, a
+// linger tick fires, or the engine's idle flush runs (the task's data
+// queue drained). Lane order is preserved — a batch is one channel send
+// carrying the lane's tuples in routing order — and every mark goes
+// through fence, which flushes the lanes first (DESIGN.md "Lane
+// fencing").
 type dispatcherBolt struct {
 	cfg    *Config
 	router routing.Router
@@ -121,17 +126,10 @@ type dispatcherBolt struct {
 	// re-applied (idempotent) and re-acked, which is what recovers
 	// dropped markers.
 	applied map[updateKey]uint64
-	// batch is the effective lane capacity (<= 1 means unbatched); lanes
-	// holds the open batch of each (side, joiner-task) pair.
-	batch int
-	lanes [2][]batchLane
-}
-
-// batchLane is one open (side, target) batch. The slice is handed to the
-// consumer inside the emitted TupleBatch and never reused afterwards, so
-// duplicated deliveries (fault injection) stay safe.
-type batchLane struct {
-	msgs []TupleMsg
+	// lanes holds the open batch of each (side, joiner-task) pair.
+	lanes [2][]lane[TupleMsg]
+	// fenceTo is fence's reusable target buffer.
+	fenceTo []int
 }
 
 // updateKey identifies the update stream of one migration source.
@@ -158,18 +156,13 @@ func newDispatcherBolt(cfg *Config, met *SystemMetrics) engine.BoltFactory {
 
 func (b *dispatcherBolt) Prepare(ctx engine.Context, _ *engine.Collector) {
 	b.ctx = ctx
-	b.batch = b.cfg.BatchSize
-	if b.batch > 1 {
-		b.lanes[stream.R] = make([]batchLane, b.cfg.JoinersPerSide)
-		b.lanes[stream.S] = make([]batchLane, b.cfg.JoinersPerSide)
-	}
+	b.lanes[stream.R] = make([]lane[TupleMsg], b.cfg.JoinersPerSide)
+	b.lanes[stream.S] = make([]lane[TupleMsg], b.cfg.JoinersPerSide)
 }
 
 //lint:hotpath
 func (b *dispatcherBolt) Execute(m engine.Message, out *engine.Collector) {
 	switch v := m.Value.(type) {
-	case stream.Tuple:
-		b.routeTuple(v, out)
 	case ShuffleBatch:
 		for i := range v.Tuples {
 			b.routeTuple(v.Tuples[i], out)
@@ -187,10 +180,6 @@ func (b *dispatcherBolt) Execute(m engine.Message, out *engine.Collector) {
 		// but are not re-traced).
 		first := ord > b.applied[k]
 		b.applied[k] = ord
-		// Flush every open batch before the marker: the fencing proof needs
-		// the marker to ride behind every tuple this task routed before the
-		// update, including tuples still sitting in a lane's open batch.
-		b.flushAll(out)
 		b.router.ApplyUpdate(v.Side, b.filterFrozenKeys(v.Keys), v.NewOwner)
 		if first {
 			b.cfg.Tracer.Emit(obs.Event{
@@ -206,25 +195,24 @@ func (b *dispatcherBolt) Execute(m engine.Message, out *engine.Collector) {
 				Revert:     v.Revert,
 			})
 		}
-		// The marker rides the data lane to the instance waiting on the
-		// handshake (source for forward updates, target for reverts),
-		// behind every tuple this task routed there before the update —
-		// proof that no stragglers remain.
-		m := Marker{
+		// The marker fences the instance waiting on the handshake (source
+		// for forward updates, target for reverts): proof that no tuple
+		// this task routed there before the update remains in flight. A
+		// revert fences the source too: it replays the merged buffers only
+		// after ITS lanes are clean, since the forward markers that would
+		// have fenced them are the very messages whose loss triggered the
+		// abort.
+		b.fenceTo = append(b.fenceTo[:0], v.MarkerTo)
+		if v.Revert {
+			b.fenceTo = append(b.fenceTo, v.Source)
+		}
+		b.fence(v.Side, Marker{
 			Side:           v.Side,
 			DispatcherTask: b.ctx.Task,
 			Origin:         v.Source,
 			Epoch:          v.Epoch,
 			Revert:         v.Revert,
-		}
-		out.EmitDirect(tupleStream(v.Side), v.MarkerTo, m)
-		if v.Revert && v.Source != v.MarkerTo {
-			// A revert needs a second fence: the source replays the merged
-			// buffers only after ITS lanes are clean too, since the forward
-			// markers that would have fenced them are the very messages
-			// whose loss triggered the abort.
-			out.EmitDirect(tupleStream(v.Side), v.Source, m)
-		}
+		}, b.fenceTo, out)
 	case SplitAck:
 		b.handleSplitAck(v, out)
 	case SplitDrained:
@@ -267,36 +255,21 @@ func (b *dispatcherBolt) routeTuple(t stream.Tuple, out *engine.Collector) {
 	}
 }
 
-// emitTuple delivers one routed tuple to its lane: directly when batching
-// is off, otherwise into the lane's open batch, flushing at capacity.
+// emitTuple adds one routed tuple to its lane's open batch, flushing the
+// batch at capacity.
 //
 //lint:hotpath
 func (b *dispatcherBolt) emitTuple(side stream.Side, target int, tm TupleMsg, out *engine.Collector) {
-	if b.batch <= 1 {
-		out.EmitDirect(tupleStream(side), target, tm)
-		return
-	}
-	ln := &b.lanes[side][target]
-	if ln.msgs == nil {
-		ln.msgs = make([]TupleMsg, 0, b.batch)
-	}
-	ln.msgs = append(ln.msgs, tm)
-	if len(ln.msgs) >= b.batch {
+	if b.lanes[side][target].add(tm, b.cfg.BatchSize) {
 		b.flushLane(side, target, out)
 	}
 }
 
 // flushLane emits one lane's open batch as a single TupleBatch message.
 func (b *dispatcherBolt) flushLane(side stream.Side, target int, out *engine.Collector) {
-	ln := &b.lanes[side][target]
-	if len(ln.msgs) == 0 {
-		return
+	if msgs := b.lanes[side][target].take(); len(msgs) > 0 {
+		out.EmitDirect(tupleStream(side), target, TupleBatch{Msgs: msgs})
 	}
-	out.EmitDirect(tupleStream(side), target, TupleBatch{Msgs: ln.msgs})
-	// Ownership of the slice passed to the consumer; the next append
-	// starts a fresh one (no recycling — a duplicated delivery must not
-	// observe a reused backing array).
-	ln.msgs = nil
 }
 
 // flushAll drains every open lane batch.
@@ -304,6 +277,20 @@ func (b *dispatcherBolt) flushAll(out *engine.Collector) {
 	for side := range b.lanes {
 		for target := range b.lanes[side] {
 			b.flushLane(stream.Side(side), target, out)
+		}
+	}
+}
+
+// fence flushes every open lane batch, then emits mark on side's data
+// lane once to each distinct instance in targets, so on each of those
+// lanes the mark rides behind every tuple this task routed before it
+// (DESIGN.md "Lane fencing"). Every mark type passed here is registered
+// in ChaosClassify.
+func (b *dispatcherBolt) fence(side stream.Side, mark any, targets []int, out *engine.Collector) {
+	b.flushAll(out)
+	for i, target := range targets {
+		if !slices.Contains(targets[:i], target) {
+			out.EmitDirect(tupleStream(side), target, mark)
 		}
 	}
 }

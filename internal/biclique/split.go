@@ -295,11 +295,11 @@ func (b *dispatcherBolt) traceSplit(span obs.SpanID, ev obs.Event) {
 }
 
 // activateSplit switches one key to salted routing. The fencing order is
-// the heart of the exactly-once argument: every open batch flushes first,
-// then a SplitMark is emitted to the owner and every member on both
-// sides' data lanes — so on each lane the mark precedes the first salted
-// store or fanned-out probe, and an instance processes no multi-copy
-// tuple of the key before it is marked (and therefore tainted).
+// the heart of the exactly-once argument: a SplitMark is fenced to the
+// owner and every member on both sides' data lanes — so on each lane the
+// mark precedes the first salted store or fanned-out probe, and an
+// instance processes no multi-copy tuple of the key before it is marked
+// (and therefore tainted).
 func (b *dispatcherBolt) activateSplit(k stream.Key, e *splitEntry, out *engine.Collector) {
 	sp := b.split
 	if e.gen > 0 {
@@ -310,25 +310,23 @@ func (b *dispatcherBolt) activateSplit(k stream.Key, e *splitEntry, out *engine.
 		b.met.ResidualKeys.Add(-1)
 	}
 	e.active = true
-	b.flushAll(out)
 	for _, side := range splitSides {
 		lo, hi := routing.SubgroupRange(b.cfg.JoinersPerSide, sp.ways, b.cfg.Seed, side, k)
 		e.members[side] = e.members[side][:0]
 		for i := lo; i < hi; i++ {
 			e.members[side] = append(e.members[side], i)
 		}
-		mark := SplitMark{Side: side, Key: k, Epoch: sp.epoch}
-		owner := b.router.StoreTarget(side, k)
-		out.EmitDirect(tupleStream(side), owner, mark)
-		for _, m := range e.members[side] {
-			if m != owner {
-				out.EmitDirect(tupleStream(side), m, mark)
-			}
-		}
+		b.fenceSplit(side, k, e, SplitMark{Side: side, Key: k, Epoch: sp.epoch}, out)
 	}
 	b.met.KeysSplit.Inc()
 	b.met.SplitKeys.Add(1)
 	b.traceSplit(e.span, obs.Event{Kind: obs.KindSplitActivate, Key: uint64(k)})
+}
+
+// fenceSplit fences mark to key k's owner and split members on side.
+func (b *dispatcherBolt) fenceSplit(side stream.Side, k stream.Key, e *splitEntry, mark any, out *engine.Collector) {
+	b.fenceTo = append(append(b.fenceTo[:0], b.router.StoreTarget(side, k)), e.members[side]...)
+	b.fence(side, mark, b.fenceTo, out)
 }
 
 // deactivateSplit cools one key down to residual state: stores return to
@@ -343,20 +341,13 @@ func (b *dispatcherBolt) deactivateSplit(k stream.Key, e *splitEntry, out *engin
 	sp.genSeq++
 	e.gen = sp.genSeq
 	e.drained = [2]map[int]bool{}
-	// Flush so the mark rides behind the last salted store of each lane;
-	// the joiners' active-count bookkeeping then never runs ahead of the
-	// tuples it describes — and member emptiness is monotone from the
+	// The fence makes the mark ride behind the last salted store of each
+	// lane; the joiners' active-count bookkeeping then never runs ahead of
+	// the tuples it describes — and member emptiness is monotone from the
 	// moment the mark lands, the monotonicity the drain proof rests on.
-	b.flushAll(out)
 	for _, side := range splitSides {
 		owner := b.router.StoreTarget(side, k)
-		mark := UnsplitMark{Side: side, Key: k, Epoch: sp.epoch, Gen: e.gen, Owner: owner}
-		out.EmitDirect(tupleStream(side), owner, mark)
-		for _, m := range e.members[side] {
-			if m != owner {
-				out.EmitDirect(tupleStream(side), m, mark)
-			}
-		}
+		b.fenceSplit(side, k, e, UnsplitMark{Side: side, Key: k, Epoch: sp.epoch, Gen: e.gen, Owner: owner}, out)
 	}
 	b.met.KeysUnsplit.Inc()
 	b.met.SplitKeys.Add(-1)
@@ -431,20 +422,11 @@ func (b *dispatcherBolt) maybeRetireSplit(k stream.Key, e *splitEntry, out *engi
 // key.
 func (b *dispatcherBolt) retireSplit(k stream.Key, e *splitEntry, out *engine.Collector) {
 	sp := b.split
-	// Flush-then-mark, the same lane-fencing argument as activation: the
-	// retire rides behind the last fanned-out probe of every lane, so a
-	// member lifts its taint only after all traffic that could still
-	// reference its (now empty) share has passed.
-	b.flushAll(out)
+	// The fence makes the retire ride behind the last fanned-out probe of
+	// every lane, so a member lifts its taint only after all traffic that
+	// could still reference its (now empty) share has passed.
 	for _, side := range splitSides {
-		mark := SplitRetire{Side: side, Key: k, Gen: e.gen}
-		owner := b.router.StoreTarget(side, k)
-		out.EmitDirect(tupleStream(side), owner, mark)
-		for _, m := range e.members[side] {
-			if m != owner {
-				out.EmitDirect(tupleStream(side), m, mark)
-			}
-		}
+		b.fenceSplit(side, k, e, SplitRetire{Side: side, Key: k, Gen: e.gen}, out)
 	}
 	delete(sp.entries, k)
 	b.met.KeysRetired.Inc()

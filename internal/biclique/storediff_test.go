@@ -3,26 +3,36 @@ package biclique
 import (
 	"fmt"
 	"testing"
+
+	"fastjoin/internal/window"
 )
 
+// refStore builds the map reference store (window.NewRef*) for the
+// config, in place of the chunked store the system always uses.
+func refStore(cfg *Config) window.Store {
+	if cfg.Window > 0 {
+		return window.NewRefWindowed(cfg.Window.Nanoseconds(), cfg.SubWindows)
+	}
+	return window.NewRef()
+}
+
 // TestChaosStoreDifferential is the store differential at full-system
-// scale: every chaos profile runs with each window-store implementation
-// explicitly pinned — and, since hot-key splitting salts stores across
+// scale: every chaos profile runs with the chunked store and with the map
+// reference store — and, since hot-key splitting salts stores across
 // instances, with splitting both off and on — and each run must emit
-// exactly the brute-force reference pair set. TestChaosDifferential
-// already exercises the default (chunked) store; this matrix adds the
-// map reference and makes the A/B explicit, so a semantics bug in the
-// arena layout — under migration, rollback, replay, and salted store
-// traffic — cannot hide behind the system default. The name matches
-// `make chaos`'s -run 'Chaos' filter.
+// exactly the brute-force reference pair set. The map rows swap the
+// reference in through the storeFactory test seam, so a semantics bug in
+// the arena layout — under migration, rollback, replay, and salted store
+// traffic — shows as a chunked row failing beside a passing map row. The
+// name matches `make chaos`'s -run 'Chaos' filter.
 func TestChaosStoreDifferential(t *testing.T) {
 	profiles := []string{"droponly", "delayonly", "duponly", "mixed"}
 	impls := []struct {
-		name string
-		impl StoreImpl
+		name    string
+		factory func(*Config) window.Store
 	}{
-		{"chunked", StoreChunked},
-		{"map", StoreMap},
+		{"chunked", nil},
+		{"map", refStore},
 	}
 	seeds := 2
 	if testing.Short() {
@@ -40,7 +50,7 @@ func TestChaosStoreDifferential(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s/split=%s/seed=%d", profile, si.name, splitName, seed), func(t *testing.T) {
 						t.Parallel()
 						mutate := []func(*Config){func(cfg *Config) {
-							cfg.StoreImpl = si.impl
+							cfg.storeFactory = si.factory
 						}}
 						if split {
 							mutate = append(mutate, enableSplit)

@@ -133,6 +133,9 @@ type stallOnce struct {
 	mu    sync.Mutex
 	fired bool
 	dur   time.Duration
+	// start is when the stall was handed to the engine: the engine sleeps
+	// dur from a moment no earlier than this.
+	start time.Time
 }
 
 func (s *stallOnce) fn(_ Context, stream string, _ any) time.Duration {
@@ -145,7 +148,14 @@ func (s *stallOnce) fn(_ Context, stream string, _ any) time.Duration {
 		return 0
 	}
 	s.fired = true
+	s.start = time.Now()
 	return s.dur
+}
+
+func (s *stallOnce) started() time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.start
 }
 
 func (s *stallOnce) engaged() bool {
@@ -178,14 +188,16 @@ func TestDrainCompletesAfterStallClears(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitEngaged(t, st)
-	start := time.Now()
 	if err := c.Drain(5 * time.Second); err != nil {
 		c.Stop()
 		t.Fatalf("Drain under a clearing stall: %v", err)
 	}
+	// Measured from the stall's own start, not from when waitEngaged's
+	// poll noticed it: the stall began before this goroutine saw it.
+	elapsed := time.Since(st.started())
 	c.Stop()
-	if elapsed := time.Since(start); elapsed < st.dur {
-		t.Errorf("drain returned in %v, before the %v stall cleared", elapsed, st.dur)
+	if elapsed < st.dur {
+		t.Errorf("drain returned %v after the stall began, before the %v stall cleared", elapsed, st.dur)
 	}
 	if count.Load() == 0 {
 		t.Error("no messages processed")

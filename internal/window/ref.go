@@ -6,7 +6,7 @@ import (
 
 // refStore is the original map[Key][]Tuple store, kept as the reference
 // model the chunked arena store is differentially tested against, and as the
-// A/B baseline for the bench `store` experiment. Its semantics are the
+// baseline of the BenchmarkStore micro-benchmarks. Its semantics are the
 // oracle: the chunked store must produce identical match sets, counts, and
 // expiry behaviour.
 type refStore struct {

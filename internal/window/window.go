@@ -13,7 +13,7 @@
 //     See DESIGN.md "Store memory layout".
 //   - the map-based reference store (NewRef/NewRefWindowed): the original
 //     map[Key][]Tuple layout, kept as the differential-testing oracle and as
-//     the A/B baseline for the bench `store` experiment.
+//     the baseline of the BenchmarkStore micro-benchmarks.
 //
 // A Store belongs to exactly one join-instance goroutine and is therefore
 // not safe for concurrent use; the owning joiner serializes all access.

@@ -7,42 +7,6 @@ import (
 	"fastjoin/internal/obs"
 )
 
-// StoreKind selects the join instances' window-store implementation.
-type StoreKind uint8
-
-const (
-	// StoreChunked is the chunked arena store (the default): slab-backed
-	// per-key chunk chains with O(expired) expiry.
-	StoreChunked StoreKind = iota
-	// StoreMap is the map[Key][]Tuple reference layout, kept for A/B
-	// benchmarking and differential testing.
-	StoreMap
-)
-
-// String names the store kind as the -store flag does.
-func (k StoreKind) String() string {
-	switch k {
-	case StoreChunked:
-		return "chunked"
-	case StoreMap:
-		return "map"
-	default:
-		return fmt.Sprintf("StoreKind(%d)", uint8(k))
-	}
-}
-
-// ParseStoreKind parses a -store flag value; "" means the default.
-func ParseStoreKind(s string) (StoreKind, error) {
-	switch s {
-	case "", "chunked":
-		return StoreChunked, nil
-	case "map":
-		return StoreMap, nil
-	default:
-		return 0, fmt.Errorf("fastjoin: unknown store implementation %q (want \"chunked\" or \"map\")", s)
-	}
-}
-
 // ChaosProfile selects a deterministic fault-injection profile. The zero
 // value is ChaosNone: no injector is attached.
 type ChaosProfile uint8
@@ -132,7 +96,8 @@ type MigrationOptions struct {
 type BatchOptions struct {
 	// Size is the dispatcher's per-(stream, target) batch capacity: up to
 	// Size routed tuples travel as one message. 0 means the default
-	// (DefaultBatchSize); 1 disables batching (the A/B baseline).
+	// (DefaultBatchSize); 1 means a batch of one, flushed as soon as it
+	// fills.
 	Size int
 	// Linger bounds how long a partially filled batch may wait in a busy
 	// dispatcher before a tick flushes it (default 2ms).
@@ -175,11 +140,6 @@ type ObserveOptions struct {
 
 // Options configures a join system. Zero values get sensible defaults;
 // Validate (called by New) normalizes them all in one place.
-//
-// The flat migration/batch/window/chaos fields below are deprecated
-// aliases of the nested sub-structs, honored for one release: when a
-// nested field is zero, its flat alias is consulted. After Validate the
-// nested structs are authoritative and the aliases mirror them.
 type Options struct {
 	// Kind selects the system (default KindFastJoin).
 	Kind Kind
@@ -220,10 +180,6 @@ type Options struct {
 	MatchCost float64
 	// Seed derandomizes placement.
 	Seed uint64
-	// StoreKind selects the window-store implementation (default
-	// StoreChunked).
-	StoreKind StoreKind
-
 	// Migration tunes the dynamic load balancer of the migration-enabled
 	// kinds.
 	Migration MigrationOptions
@@ -236,119 +192,18 @@ type Options struct {
 	// Observe configures the migration tracer and the HTTP observability
 	// endpoint.
 	Observe ObserveOptions
-
-	// Theta is the load imbalance threshold Θ.
-	//
-	// Deprecated: use Migration.Theta.
-	Theta float64
-	// Cooldown is the minimum time between migrations.
-	//
-	// Deprecated: use Migration.Cooldown.
-	Cooldown time.Duration
-	// SustainTicks is the monitor's trigger hysteresis.
-	//
-	// Deprecated: use Migration.SustainTicks.
-	SustainTicks int
-	// MinBenefit is GreedyFit's θ_gap.
-	//
-	// Deprecated: use Migration.MinBenefit.
-	MinBenefit int64
-	// AbortTimeout bounds the migration marker handshake.
-	//
-	// Deprecated: use Migration.AbortTimeout.
-	AbortTimeout time.Duration
-	// BatchSize is the data-plane batch capacity.
-	//
-	// Deprecated: use Batching.Size.
-	BatchSize int
-	// BatchLinger bounds a partial batch's wait.
-	//
-	// Deprecated: use Batching.Linger.
-	BatchLinger time.Duration
-	// Window is the join window span.
-	//
-	// Deprecated: use Windowing.Span.
-	Window time.Duration
-	// SubWindows is the sub-window count.
-	//
-	// Deprecated: use Windowing.SubWindows.
-	SubWindows int
-	// ChaosProfile names a fault-injection profile ("none", "droponly",
-	// "delayonly", "duponly", "mixed", "abortstorm").
-	//
-	// Deprecated: use Chaos.Profile.
-	ChaosProfile string
-	// ChaosSeed seeds the chaos injector.
-	//
-	// Deprecated: use Chaos.Seed.
-	ChaosSeed int64
-	// Store names the window-store implementation ("chunked" or "map").
-	//
-	// Deprecated: use StoreKind.
-	Store string
 }
 
-// Validate folds the deprecated flat aliases into the nested sub-structs,
-// fills every default in one place, and rejects invalid combinations.
+// Validate fills every default in one place and rejects invalid
+// combinations.
 // New calls it on its own copy; callers may also invoke it directly to
 // inspect the effective configuration. It is idempotent.
 func (o *Options) Validate() error {
-	// Fold deprecated aliases into their nested homes. A non-zero nested
-	// field always wins over its alias.
-	if o.Migration.Theta == 0 {
-		o.Migration.Theta = o.Theta
-	}
-	if o.Migration.Cooldown == 0 {
-		o.Migration.Cooldown = o.Cooldown
-	}
-	if o.Migration.SustainTicks == 0 {
-		o.Migration.SustainTicks = o.SustainTicks
-	}
-	if o.Migration.MinBenefit == 0 {
-		o.Migration.MinBenefit = o.MinBenefit
-	}
-	if o.Migration.AbortTimeout == 0 {
-		o.Migration.AbortTimeout = o.AbortTimeout
-	}
-	if o.Batching.Size == 0 {
-		o.Batching.Size = o.BatchSize
-	}
-	if o.Batching.Linger == 0 {
-		o.Batching.Linger = o.BatchLinger
-	}
-	if o.Windowing.Span == 0 {
-		o.Windowing.Span = o.Window
-	}
-	if o.Windowing.SubWindows == 0 {
-		o.Windowing.SubWindows = o.SubWindows
-	}
-	if o.Chaos.Seed == 0 {
-		o.Chaos.Seed = o.ChaosSeed
-	}
-	if o.Chaos.Profile == ChaosNone && o.ChaosProfile != "" {
-		p, err := ParseChaosProfile(o.ChaosProfile)
-		if err != nil {
-			return err
-		}
-		o.Chaos.Profile = p
-	}
-	if o.StoreKind == StoreChunked && o.Store != "" {
-		k, err := ParseStoreKind(o.Store)
-		if err != nil {
-			return err
-		}
-		o.StoreKind = k
-	}
-
-	// Validation.
 	if o.Kind > KindBroadcast {
 		return fmt.Errorf("fastjoin: unknown system kind %v", o.Kind)
 	}
 	if _, ok := chaosProfileNames[o.Chaos.Profile]; !ok {
 		return fmt.Errorf("fastjoin: unknown chaos profile %v", o.Chaos.Profile)
-	}
-	if o.StoreKind > StoreMap {
-		return fmt.Errorf("fastjoin: unknown store kind %v", o.StoreKind)
 	}
 	if o.Batching.Size < 0 {
 		return fmt.Errorf("fastjoin: negative batch size")
@@ -417,19 +272,5 @@ func (o *Options) Validate() error {
 		o.Observe.TraceCapacity = obs.DefaultTraceCapacity
 	}
 
-	// Mirror the merged values back into the aliases so legacy readers of
-	// the struct observe the effective configuration.
-	o.Theta = o.Migration.Theta
-	o.Cooldown = o.Migration.Cooldown
-	o.SustainTicks = o.Migration.SustainTicks
-	o.MinBenefit = o.Migration.MinBenefit
-	o.AbortTimeout = o.Migration.AbortTimeout
-	o.BatchSize = o.Batching.Size
-	o.BatchLinger = o.Batching.Linger
-	o.Window = o.Windowing.Span
-	o.SubWindows = o.Windowing.SubWindows
-	o.ChaosSeed = o.Chaos.Seed
-	o.ChaosProfile = o.Chaos.Profile.String()
-	o.Store = o.StoreKind.String()
 	return nil
 }
