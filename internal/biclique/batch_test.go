@@ -94,8 +94,8 @@ func TestBatchConfigValidation(t *testing.T) {
 
 // TestDataLanesCarryOnlyBatches records every enqueue on the data hops and
 // requires each to be a batch or a fence mark: the shuffler→dispatcher
-// hop carries only ShuffleBatch and the dispatcher→joiner hops only
-// TupleBatch or marks, at every batch size — BatchSize=1 is a batch of
+// hop carries only *ShuffleBatch and the dispatcher→joiner hops only
+// *TupleBatch or marks, at every batch size — BatchSize=1 is a batch of
 // one, never a bare stream.Tuple or TupleMsg. Migration and splitting are
 // on so the marks the lanes also carry are part of the run.
 func TestDataLanesCarryOnlyBatches(t *testing.T) {
@@ -115,10 +115,10 @@ func TestDataLanesCarryOnlyBatches(t *testing.T) {
 			ok := true
 			switch {
 			case stream == streamTuples && target.Component == CompDispatcher:
-				_, ok = value.(ShuffleBatch)
+				_, ok = value.(*ShuffleBatch)
 			case stream == streamToR || stream == streamToS:
 				switch value.(type) {
-				case TupleBatch, Marker, SplitMark, UnsplitMark, SplitRetire:
+				case *TupleBatch, Marker, SplitMark, UnsplitMark, SplitRetire:
 				default:
 					ok = false
 				}

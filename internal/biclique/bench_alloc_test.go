@@ -59,8 +59,7 @@ func benchmarkDataPlane(b *testing.B, batchSize int) {
 }
 
 // BenchmarkDataPlaneBatch1 measures batches of one: every dispatcher
-// emit boxes a one-tuple TupleBatch into an interface and performs one
-// channel send.
+// emit sends a pooled one-tuple *TupleBatch through one channel send.
 func BenchmarkDataPlaneBatch1(b *testing.B) { benchmarkDataPlane(b, 1) }
 
 // BenchmarkDataPlaneBatch32 measures the batched data plane at the

@@ -86,6 +86,12 @@ func waitChaosSettled(t *testing.T, sys *System) {
 // matter what the profile dropped, delayed, duplicated, or aborted.
 func runChaos(t *testing.T, profileName string, seed uint64, nTuples int, mutate ...func(*Config)) *System {
 	t.Helper()
+	return runChaosGated(t, profileName, seed, nTuples, nil, mutate...)
+}
+
+// runChaosGated is runChaos with the input held back at gates.
+func runChaosGated(t *testing.T, profileName string, seed uint64, nTuples int, gates []gate, mutate ...func(*Config)) *System {
+	t.Helper()
 	profile, err := chaos.Lookup(profileName)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +106,7 @@ func runChaos(t *testing.T, profileName string, seed uint64, nTuples int, mutate
 	col := newPairCollector()
 	cfg.EmitResults = true
 	cfg.OnResult = col.add
-	cfg.Sources = []TupleSource{sliceSource(tuples)}
-	sys, err := Start(cfg)
+	sys, err := newGatedFeed(t, tuples, gates...).start(cfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -281,9 +286,8 @@ func TestChaosClassify(t *testing.T) {
 		value any
 		want  chaos.Class
 	}{
-		{TupleMsg{}, chaos.ClassData},
-		{TupleBatch{}, chaos.ClassData},
-		{ShuffleBatch{}, chaos.ClassData},
+		{&TupleBatch{}, chaos.ClassData},
+		{&ShuffleBatch{}, chaos.ClassData},
 		{&PairBatch{}, chaos.ClassData},
 		{Marker{}, chaos.ClassMarker},
 		{Marker{Revert: true}, chaos.ClassMarkerRevert},

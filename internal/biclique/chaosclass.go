@@ -10,9 +10,10 @@ import (
 // ChaosClassify maps biclique message types onto chaos fault classes.
 // The classification encodes the protocol's fault-eligibility matrix:
 //
-//   - TupleMsg (and anything unrecognized, e.g. raw tuples between the
-//     spout/shuffler/dispatcher) is data-lane traffic whose per-key FIFO
-//     the exactly-once argument relies on — profiles must keep it clean.
+//   - The batches of the data lanes (and anything unrecognized, e.g. raw
+//     tuples between the spout and the shuffler) are data-lane traffic
+//     whose per-key FIFO the exactly-once argument relies on — profiles
+//     must keep it clean.
 //   - MigrateBatch/Flush/Abort/Return ride FIFO control lanes and carry
 //     stored tuples; losing one loses tuples, so profiles keep them
 //     clean too (duplicates would be tolerated via epoch dedup).
@@ -22,16 +23,12 @@ import (
 //     suite verifies.
 func ChaosClassify(value any) chaos.Class {
 	switch v := value.(type) {
-	case TupleMsg, TupleBatch, ShuffleBatch:
+	case *ShuffleBatch, *TupleBatch, *PairBatch:
 		// A batch is data-lane traffic exactly like the tuples it carries:
-		// dropping one would lose a whole lane segment, so profiles must
-		// keep it as clean as a single TupleMsg.
-		return chaos.ClassData
-	case *PairBatch:
-		// Result batches are pooled and recycled by the sink; besides being
-		// join output (dropping one loses pairs), a duplicated delivery
-		// would race the pool's reuse of the buffer. ClassData keeps every
-		// profile's hands off.
+		// dropping one would lose a whole lane segment (or, for result
+		// batches, join output). All three are pooled and recycled by their
+		// consumer, so a duplicated delivery would also race the pool's
+		// reuse of the buffer. ClassData keeps every profile's hands off.
 		return chaos.ClassData
 	case SplitMark, UnsplitMark, SplitRetire:
 		// Split state fences. A mark rides the data lane behind a lane

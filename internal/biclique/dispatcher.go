@@ -20,30 +20,8 @@ import (
 type shufflerBolt struct {
 	pre   func(stream.Tuple) stream.Tuple
 	batch int
-	lanes []lane[stream.Tuple]
-}
-
-// lane is one open batch of a data hop: shuffler→dispatcher or
-// dispatcher→joiner. The slice is handed to the consumer on flush and
-// never reused afterwards, so duplicated deliveries (fault injection)
-// never observe a reused backing array.
-type lane[T any] []T
-
-// add appends v, allocating a batch of the given capacity when the lane
-// is empty, and reports whether the lane is full.
-func (l *lane[T]) add(v T, capacity int) bool {
-	if *l == nil {
-		*l = make([]T, 0, capacity)
-	}
-	*l = append(*l, v)
-	return len(*l) >= capacity
-}
-
-// take hands off the open batch (nil when empty) and starts a fresh one.
-func (l *lane[T]) take() []T {
-	batch := *l
-	*l = nil
-	return batch
+	// lanes holds the open batch of each dispatcher task; nil when empty.
+	lanes []*ShuffleBatch
 }
 
 func newShufflerFactory(cfg *Config) engine.BoltFactory {
@@ -51,7 +29,7 @@ func newShufflerFactory(cfg *Config) engine.BoltFactory {
 		return &shufflerBolt{
 			pre:   cfg.PreProcess,
 			batch: cfg.BatchSize,
-			lanes: make([]lane[stream.Tuple], cfg.Dispatchers),
+			lanes: make([]*ShuffleBatch, cfg.Dispatchers),
 		}
 	}
 }
@@ -74,14 +52,23 @@ func (b *shufflerBolt) Execute(m engine.Message, out *engine.Collector) {
 		t.EventTime = stream.Now()
 	}
 	target := int(uint64(t.Key) % uint64(len(b.lanes)))
-	if b.lanes[target].add(t, b.batch) {
+	lb := b.lanes[target]
+	if lb == nil {
+		lb = getShuffleBatch()
+		b.lanes[target] = lb
+	}
+	lb.Tuples = append(lb.Tuples, t)
+	if len(lb.Tuples) >= b.batch {
 		b.flushShuffleLane(target, out)
 	}
 }
 
+// flushShuffleLane hands one lane's open batch to its dispatcher task,
+// which recycles it.
 func (b *shufflerBolt) flushShuffleLane(target int, out *engine.Collector) {
-	if tuples := b.lanes[target].take(); len(tuples) > 0 {
-		out.EmitDirect(streamTuples, target, ShuffleBatch{Tuples: tuples})
+	if lb := b.lanes[target]; lb != nil {
+		b.lanes[target] = nil
+		out.EmitDirect(streamTuples, target, lb)
 	}
 }
 
@@ -126,8 +113,9 @@ type dispatcherBolt struct {
 	// re-applied (idempotent) and re-acked, which is what recovers
 	// dropped markers.
 	applied map[updateKey]uint64
-	// lanes holds the open batch of each (side, joiner-task) pair.
-	lanes [2][]lane[TupleMsg]
+	// lanes holds the open batch of each (side, joiner-task) pair; nil
+	// when empty.
+	lanes [2][]*TupleBatch
 	// fenceTo is fence's reusable target buffer.
 	fenceTo []int
 }
@@ -156,17 +144,23 @@ func newDispatcherBolt(cfg *Config, met *SystemMetrics) engine.BoltFactory {
 
 func (b *dispatcherBolt) Prepare(ctx engine.Context, _ *engine.Collector) {
 	b.ctx = ctx
-	b.lanes[stream.R] = make([]lane[TupleMsg], b.cfg.JoinersPerSide)
-	b.lanes[stream.S] = make([]lane[TupleMsg], b.cfg.JoinersPerSide)
+	b.lanes[stream.R] = make([]*TupleBatch, b.cfg.JoinersPerSide)
+	b.lanes[stream.S] = make([]*TupleBatch, b.cfg.JoinersPerSide)
 }
 
 //lint:hotpath
 func (b *dispatcherBolt) Execute(m engine.Message, out *engine.Collector) {
 	switch v := m.Value.(type) {
-	case ShuffleBatch:
+	case *ShuffleBatch:
+		// One clock read per delivered batch. It is taken before any of
+		// the batch's tuples is routed, so a stamp is never later than a
+		// per-tuple read would be and the joiner's latency stays an upper
+		// bound.
+		now := stream.Now()
 		for i := range v.Tuples {
-			b.routeTuple(v.Tuples[i], out)
+			b.routeTuple(v.Tuples[i], now, out)
 		}
+		putShuffleBatch(v)
 	case RouteUpdate:
 		if b.applied == nil {
 			b.applied = make(map[updateKey]uint64)
@@ -225,11 +219,10 @@ func (b *dispatcherBolt) Execute(m engine.Message, out *engine.Collector) {
 	}
 }
 
-// routeTuple sends the store copy and the probe copies.
+// routeTuple sends the store copy and the probe copies, stamped now.
 //
 //lint:hotpath
-func (b *dispatcherBolt) routeTuple(t stream.Tuple, out *engine.Collector) {
-	now := stream.Now()
+func (b *dispatcherBolt) routeTuple(t stream.Tuple, now int64, out *engine.Collector) {
 	b.seq++
 	ownSide, oppSide := t.Side, t.Side.Opposite()
 
@@ -260,15 +253,23 @@ func (b *dispatcherBolt) routeTuple(t stream.Tuple, out *engine.Collector) {
 //
 //lint:hotpath
 func (b *dispatcherBolt) emitTuple(side stream.Side, target int, tm TupleMsg, out *engine.Collector) {
-	if b.lanes[side][target].add(tm, b.cfg.BatchSize) {
+	lb := b.lanes[side][target]
+	if lb == nil {
+		lb = getTupleBatch()
+		b.lanes[side][target] = lb
+	}
+	lb.Msgs = append(lb.Msgs, tm)
+	if len(lb.Msgs) >= b.cfg.BatchSize {
 		b.flushLane(side, target, out)
 	}
 }
 
-// flushLane emits one lane's open batch as a single TupleBatch message.
+// flushLane emits one lane's open batch as a single TupleBatch message,
+// handing it to the joiner, which recycles it.
 func (b *dispatcherBolt) flushLane(side stream.Side, target int, out *engine.Collector) {
-	if msgs := b.lanes[side][target].take(); len(msgs) > 0 {
-		out.EmitDirect(tupleStream(side), target, TupleBatch{Msgs: msgs})
+	if lb := b.lanes[side][target]; lb != nil {
+		b.lanes[side][target] = nil
+		out.EmitDirect(tupleStream(side), target, lb)
 	}
 }
 

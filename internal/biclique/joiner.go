@@ -54,12 +54,19 @@ type joinerBolt struct {
 	// per-probe state through these fields. Passing a fresh closure to
 	// ForEachMatch would heap-allocate it (plus its captured counters) on
 	// every probe, since the interface call is an escape point.
-	probeFn      func(stream.Tuple)
-	probeTuple   stream.Tuple
+	probeFn    func(stream.Tuple)
+	probeTuple stream.Tuple
+	// probeNow is the JoinedAt of every pair the current probe yields:
+	// the clock read taken when its TupleBatch delivery started, or a
+	// replayed tuple's own read.
 	probeNow     int64
 	probeOut     *engine.Collector
 	probeMatches int64
 	probeScanned int
+	// sentAts collects the SentAt of every non-replayed probe of the batch
+	// being handled; handleBatch observes their latencies against one
+	// clock read once the batch is done.
+	sentAts []int64
 
 	// Scratch buffers reused across stats ticks and migration attempts so
 	// the monitor/migration path stays allocation-free at steady state.
@@ -233,7 +240,7 @@ func (b *joinerBolt) Execute(m engine.Message, out *engine.Collector) {
 	// batch must not vanish with the poisoned one.
 	defer b.flushPairs(out)
 	switch v := m.Value.(type) {
-	case TupleBatch:
+	case *TupleBatch:
 		b.handleBatch(v, out)
 	case Marker:
 		b.handleMarker(v, out)
@@ -269,9 +276,16 @@ func (b *joinerBolt) Execute(m engine.Message, out *engine.Collector) {
 // per delivered message, which for a batch would widen a poisoned
 // tuple's blast radius from one tuple to BatchSize. The first panic is
 // re-raised after the loop so the engine's per-task panic accounting
-// still records the failure.
-func (b *joinerBolt) handleBatch(batch TupleBatch, out *engine.Collector) {
+// still records the failure, and the batch is then not recycled.
+//
+// The clock is read twice per delivery, not per tuple: once up front as
+// the JoinedAt of every pair the batch yields, and once at the end, when
+// each probe's latency is observed. A probe's latency therefore runs to
+// the end of its batch, an upper bound of its own completion time.
+func (b *joinerBolt) handleBatch(batch *TupleBatch, out *engine.Collector) {
 	var firstPanic any
+	b.probeNow = stream.Now()
+	b.sentAts = b.sentAts[:0]
 	for i := range batch.Msgs {
 		func() {
 			defer func() {
@@ -282,9 +296,16 @@ func (b *joinerBolt) handleBatch(batch TupleBatch, out *engine.Collector) {
 			b.handleTuple(batch.Msgs[i], out)
 		}()
 	}
+	if len(b.sentAts) > 0 {
+		end := stream.Now()
+		for _, sent := range b.sentAts {
+			b.met.Latency.Observe(end - sent)
+		}
+	}
 	if firstPanic != nil {
 		panic(firstPanic) //lint:allow panicpath re-raise of an isolated per-tuple panic, preserving the engine's per-task panic accounting
 	}
+	putTupleBatch(batch)
 }
 
 // replay re-processes one buffered tuple after a migration flush or
@@ -305,6 +326,7 @@ func (b *joinerBolt) replay(tm TupleMsg, out *engine.Collector) {
 	// migration's buffer and be replayed again).
 	tm.Replayed = true
 	b.met.ReplayedTuples.Mark(1)
+	b.probeNow = stream.Now()
 	b.handleTuple(tm, out)
 }
 
@@ -346,11 +368,11 @@ func (b *joinerBolt) probe(tm TupleMsg, out *engine.Collector) {
 	b.probesInterval++
 	b.probeCur[key]++
 
-	// One clock read per probe, not per matched pair: on a hot key a
-	// single probe can yield thousands of pairs and the vDSO call would
-	// dominate the whole scan (it showed up at ~47% of CPU).
+	// No clock read per probe, let alone per matched pair: probeNow was
+	// read once for the whole delivery. On a hot key a single probe can
+	// yield thousands of pairs and a per-pair vDSO call would dominate the
+	// whole scan (it showed up at ~47% of CPU).
 	b.probeTuple = tm.T
-	b.probeNow = stream.Now()
 	b.probeOut = out
 	b.probeMatches, b.probeScanned = 0, 0
 	b.store.ForEachMatch(key, b.probeFn)
@@ -368,7 +390,7 @@ func (b *joinerBolt) probe(tm TupleMsg, out *engine.Collector) {
 		// replay() instead.
 		return
 	}
-	b.met.Latency.Observe(stream.Now() - tm.SentAt)
+	b.sentAts = append(b.sentAts, tm.SentAt)
 }
 
 // appendPair adds one matched pair to the pooled result batch, flushing
@@ -400,7 +422,7 @@ func (b *joinerBolt) flushPairs(out *engine.Collector) {
 }
 
 // makePair orients (stored, probing) into (R, S); joinedAt is the
-// probe's clock read (one per probe, shared by every pair it yields).
+// delivery's clock read, shared by every pair it yields.
 //
 //lint:hotpath
 func (b *joinerBolt) makePair(stored, probing stream.Tuple, joinedAt int64) stream.JoinedPair {

@@ -152,8 +152,10 @@ func TestReplayedTuplesSkipLatencyHistogram(t *testing.T) {
 	b := newTestJoiner(t, Config{})
 	b.handleTuple(TupleMsg{T: stream.Tuple{Side: stream.R, Key: 5, Seq: 1}, Op: OpStore, SentAt: stream.Now(), Seq: 1}, nil)
 
-	// A fresh probe lands in the histogram.
-	b.handleTuple(TupleMsg{T: stream.Tuple{Side: stream.S, Key: 5, Seq: 1}, Op: OpProbe, SentAt: stream.Now(), Seq: 2}, nil)
+	// A fresh probe lands in the histogram once its batch is handled.
+	b.handleBatch(&TupleBatch{Msgs: []TupleMsg{
+		{T: stream.Tuple{Side: stream.S, Key: 5, Seq: 1}, Op: OpProbe, SentAt: stream.Now(), Seq: 2},
+	}}, nil)
 	if got := b.met.Latency.Count(); got != 1 {
 		t.Fatalf("fresh probe: latency samples = %d, want 1", got)
 	}

@@ -38,9 +38,12 @@ func (o Op) String() string {
 // timestamp, from which the instance measures processing latency
 // (queueing + service), the paper's latency metric.
 type TupleMsg struct {
-	T      stream.Tuple
-	Op     Op
-	SentAt int64 // unix nanoseconds, stamped by the dispatcher
+	T  stream.Tuple
+	Op Op
+	// SentAt is when the dispatcher routed the tuple, in unix nanoseconds.
+	// The dispatcher reads the clock once per delivered ShuffleBatch, so
+	// every tuple of that batch carries the same stamp.
+	SentAt int64
 	// Seq is a per-dispatcher-task monotone counter. All traffic of one
 	// key flows through a single dispatcher task, so for any key the Seq
 	// order IS the arrival order — which lets an aborted migration merge
@@ -57,14 +60,14 @@ type TupleMsg struct {
 }
 
 // TupleBatch carries several routed tuples of one (side, target) lane as a
-// single engine message: one channel send, one interface value, one
-// allocation for the whole group. The dispatcher accumulates per-lane
-// batches (Config.BatchSize / BatchLinger) and the joiner unpacks them
-// inline through the same handleTuple path, so batching changes message
-// granularity only — per-lane FIFO order, Seq numbering, and therefore the
-// migration fencing proof are untouched. Any open batch is flushed before
-// a Marker is emitted, so a marker still rides behind every earlier tuple
-// of its lane.
+// single engine message: one channel send and one interface value for the
+// whole group, drawn from a pool and recycled by the joiner once handled.
+// The dispatcher accumulates per-lane batches (Config.BatchSize /
+// BatchLinger) and the joiner unpacks them inline through the same
+// handleTuple path, so batching changes message granularity only —
+// per-lane FIFO order, Seq numbering, and therefore the migration fencing
+// proof are untouched. Any open batch is flushed before a Marker is
+// emitted, so a marker still rides behind every earlier tuple of its lane.
 type TupleBatch struct {
 	Msgs []TupleMsg
 }
@@ -75,18 +78,23 @@ type TupleBatch struct {
 // mapping, so all tuples of one key still flow through one dispatcher
 // task in arrival order — the per-key FIFO the exactly-once argument
 // relies on is a property of the lane, not of the message granularity.
-// The slice is handed off on emit and never reused.
+// The batch is pooled: the dispatcher recycles it after routing its
+// tuples.
 type ShuffleBatch struct {
 	Tuples []stream.Tuple
 }
 
 // PairBatch carries matched pairs from a joiner to the sink as a single
-// pooled message. Unlike the tuple batches, PairBatch IS recycled: the sink
-// is the sole subscriber of the results stream and returns each drained
-// batch to the pool, and the chaos classifier pins the type to ClassData,
-// which no profile drops or duplicates — so exactly one consumer ever sees
-// a batch before it is reused. (Recycling a type a profile could duplicate
-// would let the second delivery observe a reused buffer.)
+// pooled message.
+//
+// All three batch types are recycled through a sync.Pool by their one
+// consumer: the dispatcher for ShuffleBatch, the joiner for TupleBatch,
+// the sink for PairBatch. Each is sent by a single direct emit (or to the
+// results stream's sole subscriber), and the chaos classifier pins every
+// batch type to ClassData, which no profile drops or duplicates — so
+// exactly one consumer ever sees a batch before it is reused. (Recycling
+// a type a profile could duplicate would let the second delivery observe
+// a reused buffer.) A batch whose handling panicked is not recycled.
 type PairBatch struct {
 	Pairs []stream.JoinedPair
 }
@@ -95,14 +103,42 @@ type PairBatch struct {
 // on a hot key spills into multiple batches.
 const pairBatchCap = 256
 
-var pairPool = sync.Pool{New: func() any {
-	return &PairBatch{Pairs: make([]stream.JoinedPair, 0, pairBatchCap)}
-}}
+// The tuple batch pools hand out DefaultBatchSize capacity; a larger
+// Config.BatchSize grows a pooled batch once, on its first fill.
+var (
+	shufflePool = sync.Pool{New: func() any {
+		return &ShuffleBatch{Tuples: make([]stream.Tuple, 0, DefaultBatchSize)}
+	}}
+	tuplePool = sync.Pool{New: func() any {
+		return &TupleBatch{Msgs: make([]TupleMsg, 0, DefaultBatchSize)}
+	}}
+	pairPool = sync.Pool{New: func() any {
+		return &PairBatch{Pairs: make([]stream.JoinedPair, 0, pairBatchCap)}
+	}}
+)
+
+func getShuffleBatch() *ShuffleBatch { return shufflePool.Get().(*ShuffleBatch) }
+
+// putShuffleBatch recycles a routed batch, dropping payload references so
+// the pool does not pin the tuples alive.
+func putShuffleBatch(b *ShuffleBatch) {
+	clear(b.Tuples)
+	b.Tuples = b.Tuples[:0]
+	shufflePool.Put(b)
+}
+
+func getTupleBatch() *TupleBatch { return tuplePool.Get().(*TupleBatch) }
+
+// putTupleBatch recycles a handled batch (see putShuffleBatch).
+func putTupleBatch(b *TupleBatch) {
+	clear(b.Msgs)
+	b.Msgs = b.Msgs[:0]
+	tuplePool.Put(b)
+}
 
 func getPairBatch() *PairBatch { return pairPool.Get().(*PairBatch) }
 
-// putPairBatch recycles a drained batch, dropping payload references so the
-// pool does not pin the joined tuples alive.
+// putPairBatch recycles a drained batch (see putShuffleBatch).
 func putPairBatch(b *PairBatch) {
 	clear(b.Pairs)
 	b.Pairs = b.Pairs[:0]

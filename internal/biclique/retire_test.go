@@ -360,13 +360,16 @@ func TestFilterFrozenKeysNoRetention(t *testing.T) {
 
 	o1 := (b.router.StoreTarget(stream.R, k1) + 1) % b.cfg.JoinersPerSide
 	o2 := (b.router.StoreTarget(stream.R, k2) + 1) % b.cfg.JoinersPerSide
-	for epoch, upd := range map[uint64][]stream.Key{1: {frozen, k1}, 2: {frozen, k2}} {
-		owner := o1
-		if epoch == 2 {
-			owner = o2
-		}
+	// Applied in epoch order: the dispatcher rightly rejects an older
+	// epoch from the same source as stale, so the second update must
+	// come second.
+	for _, upd := range []struct {
+		epoch uint64
+		keys  []stream.Key
+		owner int
+	}{{1, []stream.Key{frozen, k1}, o1}, {2, []stream.Key{frozen, k2}, o2}} {
 		b.Execute(engine.Message{Stream: streamRouteUpd, Value: RouteUpdate{
-			Side: stream.R, Keys: upd, NewOwner: owner, Source: 0, Epoch: epoch, MarkerTo: 0,
+			Side: stream.R, Keys: upd.keys, NewOwner: upd.owner, Source: 0, Epoch: upd.epoch, MarkerTo: 0,
 		}}, out)
 	}
 

@@ -330,12 +330,27 @@ func TestSplitActivatesOnHotKey(t *testing.T) {
 // and demands the exact brute-force pair set, with and without fault
 // injection. This is the differential proof that the unsplit drain
 // contract and the migration fence ordering compose.
+//
+// Without faults the input is held back halfway through each of the
+// first two phases until that phase's event is observed: the split
+// handshake waits out any migration of the mega-key in flight at its
+// owner, and a fast data plane could otherwise end the mega-key phase
+// before the split activates, leaving nothing to cool down.
 func TestSplitMigrateUnsplitInterleaving(t *testing.T) {
 	const n = 6000
 	t.Run("nochaos", func(t *testing.T) {
 		tuples := makePhasedWorkload(n, 21)
 		cfg := splitTestConfig(5)
-		sys, got := runFinite(t, cfg, tuples)
+		sys, got := runFinite(t, cfg, tuples,
+			gate{at: n / 6, what: "a split", ready: func(m *SystemMetrics) bool {
+				return m.KeysSplit.Value() >= 1
+			}},
+			gate{at: n / 2, what: "an unsplit", ready: func(m *SystemMetrics) bool {
+				return m.KeysUnsplit.Value() >= 1
+			}},
+			gate{at: n / 2, what: "a migration attempt", ready: func(m *SystemMetrics) bool {
+				return m.Migrations.Value()+m.MigrationAborts.Value() >= 1
+			}})
 		assertExactlyOnce(t, referenceJoin(tuples, cfg.Predicate), got)
 
 		met := sys.Metrics()

@@ -3,6 +3,7 @@ package biclique
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,6 +78,78 @@ func sliceSource(tuples []stream.Tuple) TupleSource {
 	}
 }
 
+// gate names an event a test needs to happen at a point of its input:
+// from tuple index at onwards the feed is held back until ready reports
+// the event in the running system's metrics.
+type gate struct {
+	at    int
+	what  string
+	ready func(*SystemMetrics) bool
+}
+
+// Gate pacing: a held-back feed releases one tuple per gatePace (and,
+// once the input is used up, keeps polling at that period), and a gate
+// whose event is still missing after gateDeadline fails the test.
+const (
+	gatePace     = 200 * time.Microsecond
+	gateDeadline = 20 * time.Second
+)
+
+// gatedFeed is a slice source that makes wall-clock mechanisms
+// independent of data-plane speed. Migrations fire on stats ticks, so a
+// fast plane can finish a short input before the first one; a feed with
+// a gate trickles the rest of the input, in its original order, until
+// the awaited event shows up in the metrics. It trickles rather than
+// stops because some events also need traffic: split handshakes are
+// retried once per detector epoch, which is counted in tuples.
+type gatedFeed struct {
+	t      *testing.T
+	tuples []stream.Tuple
+	gates  []gate
+	sys    atomic.Pointer[System] // set once Start returns
+	i      int
+	since  time.Time // when the current gate started holding back
+}
+
+func newGatedFeed(t *testing.T, tuples []stream.Tuple, gates ...gate) *gatedFeed {
+	return &gatedFeed{t: t, tuples: tuples, gates: gates}
+}
+
+// next is the feed's TupleSource.
+func (f *gatedFeed) next() (stream.Tuple, bool) {
+	for len(f.gates) > 0 && f.i >= f.gates[0].at {
+		g := f.gates[0]
+		if sys := f.sys.Load(); sys != nil && g.ready(sys.Metrics()) {
+			f.gates, f.since = f.gates[1:], time.Time{}
+			continue
+		}
+		if f.since.IsZero() {
+			f.since = time.Now()
+		} else if time.Since(f.since) > gateDeadline {
+			f.t.Errorf("gate at tuple %d: %s not observed within %v", g.at, g.what, gateDeadline)
+			f.gates = nil
+			break
+		}
+		time.Sleep(gatePace)
+		if f.i < len(f.tuples) {
+			break
+		}
+	}
+	if f.i >= len(f.tuples) {
+		return stream.Tuple{}, false
+	}
+	f.i++
+	return f.tuples[f.i-1], true
+}
+
+// start runs Start with the feed as the only source.
+func (f *gatedFeed) start(cfg Config) (*System, error) {
+	cfg.Sources = []TupleSource{f.next}
+	sys, err := Start(cfg)
+	f.sys.Store(sys)
+	return sys, err
+}
+
 // pairCollector gathers emitted pairs with counts.
 type pairCollector struct {
 	mu    sync.Mutex
@@ -103,15 +176,14 @@ func (c *pairCollector) snapshot() map[stream.PairID]int {
 	return out
 }
 
-// runFinite runs a finite workload to completion and returns the system
-// and observed pair counts.
-func runFinite(t *testing.T, cfg Config, tuples []stream.Tuple) (*System, map[stream.PairID]int) {
+// runFinite runs a finite workload to completion, held back at the given
+// gates, and returns the system and observed pair counts.
+func runFinite(t *testing.T, cfg Config, tuples []stream.Tuple, gates ...gate) (*System, map[stream.PairID]int) {
 	t.Helper()
 	col := newPairCollector()
 	cfg.EmitResults = true
 	cfg.OnResult = col.add
-	cfg.Sources = []TupleSource{sliceSource(tuples)}
-	sys, err := Start(cfg)
+	sys, err := newGatedFeed(t, tuples, gates...).start(cfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}

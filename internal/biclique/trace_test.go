@@ -66,10 +66,16 @@ func kindsOf(s obs.Span) []obs.Kind {
 
 // TestTraceSpansCleanRun checks that a fault-free skewed run produces one
 // complete span per migration and that migrations actually happen (the
-// trace has something to say).
+// trace has something to say). The second half of the input is held
+// back until a migration commits, so a fast data plane cannot finish the
+// run before the first stats tick fires one.
 func TestTraceSpansCleanRun(t *testing.T) {
+	const n = 6000
 	tr := obs.NewTracer(1 << 16)
-	sys := runChaos(t, "none", 3, 6000, func(c *Config) { c.Tracer = tr })
+	migrated := gate{at: n / 2, what: "a committed migration", ready: func(m *SystemMetrics) bool {
+		return m.Migrations.Value() >= 1
+	}}
+	sys := runChaosGated(t, "none", 3, n, []gate{migrated}, func(c *Config) { c.Tracer = tr })
 	if sys.Metrics().Migrations.Value() == 0 {
 		t.Fatal("run produced no migrations; trace test exercised nothing")
 	}

@@ -152,6 +152,11 @@ func (c *LocalCluster) send(q chan Message, m Message) bool {
 	select {
 	case q <- m:
 		return true
+	default:
+	}
+	select {
+	case q <- m:
+		return true
 	case <-c.done:
 		c.pending.Add(-1)
 		return false
@@ -195,9 +200,8 @@ func (c *LocalCluster) runSpout(tk *task) {
 	}()
 	tk.spout.Open(tk.ctx, tk.collector)
 	for {
+		// Stop closes spoutStop before done, so this one poll covers both.
 		select {
-		case <-c.done:
-			return
 		case <-c.spoutStop:
 			return
 		default:
@@ -221,14 +225,34 @@ func (c *LocalCluster) safeNext(tk *task) (more bool) {
 
 // runBolt drives one bolt task: control messages are consumed with strict
 // priority over data.
+//
+// The hot selects here, in runSpout and in send are single-case with a
+// default. Such a select compiles to a non-blocking channel operation that
+// returns without taking the channel's lock when there is nothing to do,
+// whereas a multi-case select locks every channel it names. done and
+// spoutStop are shared by every task, so polling them inside a multi-case
+// select would serialise the whole cluster on two locks per message. Only
+// a task with nothing queued (or a producer facing a full queue) blocks in
+// a multi-case select.
 func (c *LocalCluster) runBolt(tk *task) {
 	defer c.wg.Done()
 	tk.bolt.Prepare(tk.ctx, tk.collector)
 	defer tk.bolt.Cleanup()
 	for {
+		select {
+		case <-c.done:
+			return
+		default:
+		}
 		// Priority pass: drain control first if available.
 		select {
 		case m := <-tk.ctrl:
+			c.dispatch(tk, m)
+			continue
+		default:
+		}
+		select {
+		case m := <-tk.data:
 			c.dispatch(tk, m)
 			continue
 		default:

@@ -406,74 +406,134 @@ func TestStopUnblocksBackpressuredSenders(t *testing.T) {
 	}
 }
 
-func TestControlPriority(t *testing.T) {
-	// A bolt that records the order of arrival: flood data, then send one
-	// control message; the control message must overtake queued data.
-	type record struct {
-		mu    sync.Mutex
-		order []string
+// holdBolt records the streams it executes, in order, and holds its first
+// message until release is closed, so a test can build a backlog behind it.
+type holdBolt struct {
+	entered chan struct{} // closed once the first message is executing
+	release chan struct{}
+	mu      sync.Mutex
+	order   []string
+}
+
+func newHoldBolt() *holdBolt {
+	return &holdBolt{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (b *holdBolt) Prepare(Context, *Collector) {}
+func (b *holdBolt) Execute(m Message, _ *Collector) {
+	b.mu.Lock()
+	b.order = append(b.order, m.Stream)
+	first := len(b.order) == 1
+	b.mu.Unlock()
+	if first {
+		close(b.entered)
+		<-b.release
 	}
-	rec := &record{}
-	release := make(chan struct{})
-	first := true
+}
+func (b *holdBolt) Cleanup() {}
 
-	b := NewBuilder()
-	b.AddSpout("src", intsSpoutFactory(200), 1)
-	b.AddSpout("ctlsrc", func(int) Spout { return &gatedCtrlSpout{gate: release} }, 1)
-	b.AddBolt("op", func(int) Bolt {
-		return execFunc(func(m Message, _ *Collector) {
-			if first {
-				// Hold the first data message until the control message is
-				// queued behind ~199 data messages.
-				first = false
-				<-release
-				time.Sleep(5 * time.Millisecond)
-			}
-			rec.mu.Lock()
-			rec.order = append(rec.order, m.Stream)
-			rec.mu.Unlock()
-		})
-	}, 1).
-		Shuffle("src", "data").
-		GlobalCtrl("ctlsrc", "ctl")
-	runAndDrain(t, b.MustBuild())
+func (b *holdBolt) seen() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]string(nil), b.order...)
+}
 
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	pos := -1
-	for i, s := range rec.order {
-		if s == "ctl" {
-			pos = i
-			break
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-	}
-	if pos == -1 {
-		t.Fatal("control message never delivered")
-	}
-	// The control message must arrive well before the tail of the data.
-	if pos > 20 {
-		t.Errorf("control message arrived at position %d of %d; priority not honored", pos, len(rec.order))
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// gatedCtrlSpout waits briefly, emits one control value, then opens the gate.
-type gatedCtrlSpout struct {
-	gate chan struct{}
+// TestStopSkipsBacklog: a producer is blocked on a full queue while the
+// bolt still has a backlog. Stop must unblock the producer and return as
+// soon as the bolt's current message finishes: the bolt checks done
+// before each dequeue, so none of the backlog runs after Stop.
+func TestStopSkipsBacklog(t *testing.T) {
+	const queue = 8
+	bolt := newHoldBolt()
+	b := NewBuilder()
+	b.AddSpout("src", intsSpoutFactory(1000), 1)
+	b.AddBolt("op", func(int) Bolt { return bolt }, 1).Shuffle("src", "out")
+	c, err := Submit(b.MustBuild(), Config{QueueSize: queue})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-bolt.entered
+	waitFor(t, "a full queue", func() bool { return c.Stats("op")[0].QueueLen == queue })
+
+	stopped := make(chan struct{})
+	go func() {
+		c.Stop()
+		close(stopped)
+	}()
+	// The spout can only leave its blocked send through done, so once it
+	// has exited, done is closed.
+	waitFor(t, "the blocked producer to exit", func() bool { return c.spoutsLive.Load() == 0 })
+	close(bolt.release)
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not return")
+	}
+	if got := len(bolt.seen()); got != 1 {
+		t.Errorf("bolt executed %d messages, want 1: the backlog ran after Stop", got)
+	}
+}
+
+// TestControlPriority: a control message queued behind a data backlog is
+// the very next message the bolt executes.
+func TestControlPriority(t *testing.T) {
+	const backlog = 7
+	bolt := newHoldBolt()
+	emit := make(chan struct{})
+	b := NewBuilder()
+	b.AddSpout("src", intsSpoutFactory(backlog+1), 1)
+	b.AddSpout("ctlsrc", func(int) Spout { return &signalSpout{emit: emit} }, 1)
+	b.AddBolt("op", func(int) Bolt { return bolt }, 1).
+		Shuffle("src", "out").
+		GlobalCtrl("ctlsrc", "ctl")
+	c, err := Submit(b.MustBuild(), Config{})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	defer c.Stop()
+	<-bolt.entered
+	waitFor(t, "the data backlog", func() bool { return c.Stats("op")[0].QueueLen == backlog })
+	close(emit)
+	waitFor(t, "the queued control message", func() bool { return c.Stats("op")[0].CtrlLen == 1 })
+	close(bolt.release)
+	if err := c.WaitComplete(5 * time.Second); err != nil {
+		t.Fatalf("WaitComplete: %v", err)
+	}
+	order := bolt.seen()
+	if len(order) != backlog+2 || order[0] != "out" || order[1] != "ctl" {
+		t.Errorf("execution order %v: want the control message right after the held data message", order)
+	}
+}
+
+// signalSpout emits one value on "ctl" once emit is closed.
+type signalSpout struct {
+	emit chan struct{}
 	sent bool
 }
 
-func (s *gatedCtrlSpout) Open(Context, *Collector) {}
-func (s *gatedCtrlSpout) Next(out *Collector) bool {
+func (s *signalSpout) Open(Context, *Collector) {}
+func (s *signalSpout) Next(out *Collector) bool {
 	if s.sent {
 		return false
 	}
-	time.Sleep(20 * time.Millisecond) // let data queue fill
+	<-s.emit
 	out.Emit("ctl", "go")
-	close(s.gate)
 	s.sent = true
 	return true
 }
-func (s *gatedCtrlSpout) Close() {}
+func (s *signalSpout) Close() {}
 
 func TestEmitOnDirectStreamPanics(t *testing.T) {
 	b := NewBuilder()

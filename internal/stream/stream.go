@@ -90,8 +90,10 @@ type PairID struct {
 // JoinedPair is one join result: a tuple of R matched with a tuple of S on
 // key equality (plus the optional user predicate). Instance records which
 // join instance produced the pair and StoreSide which biclique group it
-// belongs to; JoinedAt is the wall-clock completion time used by the latency
-// metrics.
+// belongs to; JoinedAt is the wall-clock time the join instance started
+// handling the batch of routed tuples the probe arrived in, shared by
+// every pair of that batch (a probe replayed by a migration reads the
+// clock itself).
 type JoinedPair struct {
 	R         Tuple
 	S         Tuple

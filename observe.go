@@ -106,7 +106,7 @@ func (o *obsSource) ObsFamilies() []obs.Family {
 			Samples: []obs.Sample{{Value: float64(s.Ingested())}},
 		},
 		{
-			Name: "fastjoin_latency_us", Help: "Per-probe processing latency in microseconds (dispatcher send to join completion).",
+			Name: "fastjoin_latency_us", Help: "Per-probe processing latency in microseconds (dispatcher send to the end of the joiner batch that held the probe).",
 			Type: obs.TypeSummary,
 			Samples: []obs.Sample{
 				{Labels: obs.L("quantile", "0.95"), Value: st.LatencyP95Us},
