@@ -76,10 +76,11 @@ chaos-split:
 	$(GO) test -race -count=1 -timeout=15m ./internal/biclique \
 		-run 'TestChaosDifferential/[a-z]+/split=on|TestChaosStoreDifferential/[a-z]+/[a-z]+/split=on|TestSplitMigrateUnsplitInterleaving|TestSplit|TestChaosChurnRetire|TestChurnRetireTraceSpans'
 
-## fuzz-short: bounded fuzzing of the wire-frame decoder and the routing
-## update path (corpora are checked in under testdata/fuzz).
+## fuzz-short: bounded fuzzing of the gob parser network ingestion runs
+## (tcpConn.Recv) and the routing update path (corpora are checked in
+## under testdata/fuzz).
 fuzz-short:
-	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzTCPRecv -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/routing -run='^$$' -fuzz=FuzzRoutingUpdate -fuzztime=$(FUZZTIME)
 
 ## cover: per-package coverage plus the biclique+core+chaos floor gate

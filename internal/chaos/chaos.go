@@ -1,15 +1,16 @@
 // Package chaos is a deterministic, seedable fault-injection layer for
 // FastJoin's runtime. It decides — per message, per lane — whether a
-// delivery is dropped, duplicated, or delayed, whether a task stalls
-// before processing, and whether a transport connection is reset.
+// delivery is dropped, duplicated, or delayed, and whether a task stalls
+// before processing. It acts on the in-process engine only; network
+// ingestion (internal/transport) is not fault-injected.
 //
 // Determinism is the design center: every decision is drawn from a
 // per-lane *rand.Rand derived from a single seed, and wall-clock time is
 // never consulted in a decision path. Because each lane (one producer
-// task × one stream, or one connection) has its own stream of random
-// numbers, a run replays the same fault sequence per lane regardless of
-// how the scheduler interleaves goroutines. A failing run is reproduced
-// by re-running with the same seed and profile.
+// task × one stream) has its own stream of random numbers, a run replays
+// the same fault sequence per lane regardless of how the scheduler
+// interleaves goroutines. A failing run is reproduced by re-running with
+// the same seed and profile.
 //
 // Faults are scoped by message Class. The exactly-once argument for the
 // marker-gated migration protocol (DESIGN.md, "Fault model &
@@ -139,7 +140,7 @@ type Rule struct {
 }
 
 // Profile bundles the fault schedule: scripted rules, per-class
-// probabilities, task stalls, and connection resets.
+// probabilities, and task stalls.
 type Profile struct {
 	// Name identifies the profile in flags, logs, and replay
 	// instructions.
@@ -153,9 +154,6 @@ type Profile struct {
 	StallProb float64
 	StallMin  time.Duration
 	StallMax  time.Duration
-	// ResetProb is the chance a wrapped transport connection is reset on
-	// a Send (exercising the reconnect-with-resend path).
-	ResetProb float64
 }
 
 // Counts is a snapshot of how many faults an injector has injected.
@@ -164,7 +162,6 @@ type Counts struct {
 	Duplicated int64 `json:"duplicated"`
 	Delayed    int64 `json:"delayed"`
 	Stalled    int64 `json:"stalled"`
-	Resets     int64 `json:"resets"`
 }
 
 // Injector draws fault decisions from a profile. One injector serves a
@@ -182,7 +179,6 @@ type Injector struct {
 	duplicated atomic.Int64
 	delayed    atomic.Int64
 	stalled    atomic.Int64
-	resets     atomic.Int64
 }
 
 // NewInjector builds an injector for profile with the given seed. The
@@ -231,9 +227,8 @@ func uniformDur(r *rand.Rand, lo, hi time.Duration) time.Duration {
 
 // Decide returns the fate of one delivery of class cls on the given
 // lane. Lanes partition the decision space — typically
-// "component[task]/stream" for engine messages or the connection name
-// for transport — so per-lane sequences replay independent of scheduler
-// interleaving.
+// "component[task]/stream" — so per-lane sequences replay independent
+// of scheduler interleaving.
 func (in *Injector) Decide(lane string, cls Class) Decision {
 	in.mu.Lock()
 	n := in.seen[cls]
@@ -307,22 +302,6 @@ func (in *Injector) StallFor(lane string) time.Duration {
 	return d
 }
 
-// ResetConn reports whether the connection owning lane should be reset
-// on this send.
-func (in *Injector) ResetConn(lane string) bool {
-	//lint:allow lockguard profile is immutable after NewInjector
-	if in.profile.ResetProb <= 0 {
-		return false
-	}
-	in.mu.Lock()
-	hit := in.laneRand(lane).Float64() < in.profile.ResetProb
-	in.mu.Unlock()
-	if hit {
-		in.resets.Add(1)
-	}
-	return hit
-}
-
 // Counts returns a snapshot of injected-fault totals.
 func (in *Injector) Counts() Counts {
 	return Counts{
@@ -330,6 +309,5 @@ func (in *Injector) Counts() Counts {
 		Duplicated: in.duplicated.Load(),
 		Delayed:    in.delayed.Load(),
 		Stalled:    in.stalled.Load(),
-		Resets:     in.resets.Load(),
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"fastjoin/internal/transport"
 )
 
 // decideSeq collects n decisions for one lane/class.
@@ -81,7 +79,6 @@ func TestDecideConcurrentSafety(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				in.Decide(lane, ClassMarker)
 				in.StallFor(lane)
-				in.ResetConn(lane)
 			}
 		}(g)
 	}
@@ -164,64 +161,5 @@ func TestCounts(t *testing.T) {
 	want := Counts{Dropped: 2, Duplicated: 1, Delayed: 1}
 	if got != want {
 		t.Errorf("counts = %+v, want %+v", got, want)
-	}
-}
-
-func TestWrapConnDropAndDup(t *testing.T) {
-	a, b := transport.Pipe(16)
-	defer b.Close()
-	in := NewInjector(Profile{Rules: []Rule{
-		{Class: ClassOther, Op: OpDrop, First: 0, Count: 1},
-		{Class: ClassOther, Op: OpDup, First: 1, Count: 1},
-	}}, 0)
-	w := WrapConn(a, in, "conn", nil)
-	defer w.Close()
-
-	if err := w.Send(transport.Message{Stream: "dropped"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Send(transport.Message{Stream: "duped"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Send(transport.Message{Stream: "plain"}); err != nil {
-		t.Fatal(err)
-	}
-	var streams []string
-	for i := 0; i < 3; i++ {
-		m, err := b.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams = append(streams, m.Stream)
-	}
-	want := []string{"duped", "duped", "plain"}
-	for i := range want {
-		if streams[i] != want[i] {
-			t.Fatalf("received %v, want %v", streams, want)
-		}
-	}
-}
-
-func TestWrapConnReset(t *testing.T) {
-	a, b := transport.Pipe(4)
-	defer b.Close()
-	in := NewInjector(Profile{ResetProb: 1}, 0)
-	w := WrapConn(a, in, "conn", nil)
-	if err := w.Send(transport.Message{}); err != ErrInjectedReset {
-		t.Fatalf("Send on always-reset conn: %v, want ErrInjectedReset", err)
-	}
-	// The underlying conn really is closed — the peer path is dead.
-	if err := a.Send(transport.Message{}); err == nil {
-		t.Error("underlying conn still writable after injected reset")
-	}
-	if in.Counts().Resets != 1 {
-		t.Errorf("resets = %d, want 1", in.Counts().Resets)
-	}
-}
-
-func TestWrapConnNilInjectorPassthrough(t *testing.T) {
-	a, _ := transport.Pipe(1)
-	if got := WrapConn(a, nil, "x", nil); got != a {
-		t.Error("nil injector should return the inner conn unchanged")
 	}
 }

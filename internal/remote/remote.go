@@ -8,7 +8,6 @@ package remote
 
 import (
 	"fmt"
-	"io"
 
 	"fastjoin"
 	"fastjoin/internal/stream"
@@ -56,10 +55,10 @@ func AcceptSources(srv *transport.Server, n int) ([]fastjoin.TupleSource, func()
 }
 
 // connSource adapts one connection to a pull-based tuple source. The spout
-// goroutine blocks in Recv between tuples; EOF or any error ends the
-// source. Tuples arrive either singly or packed in a transport.Chunk
-// (the wire-level batch StreamTuples sends); a chunk is unpacked in order
-// across successive pulls.
+// goroutine blocks in Recv between chunks; EOF or any error ends the
+// source for good (there is no reconnect). Tuples arrive packed in
+// transport.Chunks (the wire shape StreamTuples sends); a chunk is
+// unpacked in order across successive pulls.
 func connSource(conn transport.Conn) fastjoin.TupleSource {
 	done := false
 	var queued []stream.Tuple // remainder of the chunk being unpacked
@@ -81,11 +80,8 @@ func connSource(conn transport.Conn) fastjoin.TupleSource {
 			if m.Stream != tupleStream {
 				continue // ignore non-tuple traffic
 			}
-			switch v := m.Value.(type) {
-			case stream.Tuple:
-				return v, true
-			case transport.Chunk:
-				for _, raw := range v.Values {
+			if c, ok := m.Value.(transport.Chunk); ok {
+				for _, raw := range c.Values {
 					if t, ok := raw.(stream.Tuple); ok {
 						queued = append(queued, t)
 					}
@@ -97,51 +93,25 @@ func connSource(conn transport.Conn) fastjoin.TupleSource {
 
 // StreamTuples dials a join server and pushes the source's tuples until it
 // is exhausted, then closes the connection. Tuples travel packed in
-// transport.Chunks of DefaultChunkSize, so the gob pipe encodes and the
-// reliable layer sequences each group as a single unit. It returns how
-// many tuples were sent.
+// transport.Chunks of DefaultChunkSize, so the gob pipe encodes each group
+// as a single message. A send error ends the stream; the connection is
+// not redialled. It returns how many tuples were sent.
 func StreamTuples(addr string, src fastjoin.TupleSource) (int, error) {
-	return StreamTuplesChunked(addr, src, transport.DefaultChunkSize)
-}
-
-// StreamTuplesChunked is StreamTuples with an explicit chunk size;
-// size <= 1 sends one message per tuple (the unbatched wire format).
-func StreamTuplesChunked(addr string, src fastjoin.TupleSource, size int) (int, error) {
 	conn, err := transport.Dial(addr)
 	if err != nil {
 		return 0, err
 	}
 	defer conn.Close()
+	const size = transport.DefaultChunkSize
 	sent := 0
-	sendOne := func(v any) error {
-		err := conn.Send(transport.Message{Stream: tupleStream, Value: v})
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("remote: send after %d tuples: %w", sent, err)
-		}
-		return err
-	}
-	if size <= 1 {
-		for {
-			t, ok := src()
-			if !ok {
-				return sent, nil
-			}
-			if err := sendOne(t); err != nil {
-				if err == io.EOF {
-					return sent, nil
-				}
-				return sent, err
-			}
-			sent++
-		}
-	}
 	chunk := transport.Chunk{Values: make([]any, 0, size)}
 	flush := func() error {
 		if len(chunk.Values) == 0 {
 			return nil
 		}
-		if err := sendOne(chunk); err != nil {
-			return err
+		err := conn.Send(transport.Message{Stream: tupleStream, Value: chunk})
+		if err != nil {
+			return fmt.Errorf("remote: send after %d tuples: %w", sent, err)
 		}
 		sent += len(chunk.Values)
 		// Fresh slice: the gob encoder may still reference the old one.
@@ -151,17 +121,11 @@ func StreamTuplesChunked(addr string, src fastjoin.TupleSource, size int) (int, 
 	for {
 		t, ok := src()
 		if !ok {
-			if err := flush(); err != nil && err != io.EOF {
-				return sent, err
-			}
-			return sent, nil
+			return sent, flush()
 		}
 		chunk.Values = append(chunk.Values, t)
 		if len(chunk.Values) >= size {
 			if err := flush(); err != nil {
-				if err == io.EOF {
-					return sent, nil
-				}
 				return sent, err
 			}
 		}

@@ -1,6 +1,9 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/gob"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -115,7 +118,7 @@ func TestConnSourceIgnoresForeignMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fastjoin.Tuple{Side: fastjoin.R, Key: 9, Seq: 3}
-	if err := a.Send(transport.Message{Stream: "tuples", Value: want}); err != nil {
+	if err := a.Send(transport.Message{Stream: "tuples", Value: transport.Chunk{Values: []any{want}}}); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := src()
@@ -129,5 +132,102 @@ func TestConnSourceIgnoresForeignMessages(t *testing.T) {
 	}
 	if _, ok := src(); ok {
 		t.Error("source revived")
+	}
+}
+
+// chunkOf drains src into one tuple chunk, the unit StreamTuples sends.
+func chunkOf(src fastjoin.TupleSource) ([]fastjoin.Tuple, transport.Message) {
+	var tuples []fastjoin.Tuple
+	var vals []any
+	for t, ok := src(); ok; t, ok = src() {
+		tuples = append(tuples, t)
+		vals = append(vals, t)
+	}
+	return tuples, transport.Message{Stream: tupleStream, Value: transport.Chunk{Values: vals}}
+}
+
+// joinPairs is the closed-form result count of joining tuples: per key,
+// |R| × |S|.
+func joinPairs(tuples []fastjoin.Tuple) int64 {
+	r := map[fastjoin.Key]int64{}
+	s := map[fastjoin.Key]int64{}
+	for _, t := range tuples {
+		if t.Side == fastjoin.R {
+			r[t.Key]++
+		} else {
+			s[t.Key]++
+		}
+	}
+	var n int64
+	for k, c := range r {
+		n += c * s[k]
+	}
+	return n
+}
+
+// TestIngestionEndsOnTruncatedStream cuts a client off mid-message: it
+// writes one whole gob chunk, then half of the next, then closes. The
+// source must deliver exactly the first chunk and end (there is no
+// reconnect), and the join must drain to the first chunk's result.
+func TestIngestionEndsOnTruncatedStream(t *testing.T) {
+	srv, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+
+	first, m1 := chunkOf(finiteSource(64, 4, 0, 1))
+	_, m2 := chunkOf(finiteSource(64, 4, 64, 1))
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(&m1); err != nil {
+		t.Fatal(err)
+	}
+	cut := buf.Len()
+	if err := enc.Encode(&m2); err != nil {
+		t.Fatal(err)
+	}
+	wire := buf.Bytes()[:cut+(buf.Len()-cut)/2]
+
+	clientErr := make(chan error, 1)
+	go func() {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			clientErr <- err
+			return
+		}
+		_, err = c.Write(wire)
+		c.Close()
+		clientErr <- err
+	}()
+
+	sources, closeConns, err := AcceptSources(srv, 1)
+	if err != nil {
+		t.Fatalf("AcceptSources: %v", err)
+	}
+	defer closeConns()
+	if err := <-clientErr; err != nil {
+		t.Fatalf("client: %v", err)
+	}
+
+	sys, err := fastjoin.New(fastjoin.Options{
+		Kind:    fastjoin.KindFastJoin,
+		Joiners: 3,
+		Sources: sources,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := sys.WaitComplete(time.Minute); err != nil {
+		sys.Stop()
+		t.Fatalf("WaitComplete: %v", err)
+	}
+	sys.Stop()
+
+	if got := sys.Ingested(); got != int64(len(first)) {
+		t.Errorf("ingested = %d, want the first chunk's %d tuples", got, len(first))
+	}
+	if got, want := sys.Stats().Results, joinPairs(first); got != want || want == 0 {
+		t.Errorf("results = %d, want %d", got, want)
 	}
 }

@@ -3,19 +3,17 @@ package transport
 import "encoding/gob"
 
 // Chunk batches several payload values of one logical stream into a
-// single Message.Value, so the pipe encodes, frames, and (on the
-// reliable layer) sequences, buffers, and acknowledges the whole group
-// as ONE unit — amortizing the per-message gob and syscall overhead the
-// same way the engine's batched data plane amortizes channel sends.
-// Values preserve send order; element types must be registered with
-// RegisterValue like any other payload.
+// single Message.Value, so the pipe gob-encodes and writes the whole
+// group as ONE message — amortizing the per-message gob and syscall
+// overhead the same way the engine's batched data plane amortizes
+// channel sends. Values preserve send order; element types must be
+// registered with RegisterValue like any other payload.
 type Chunk struct {
 	Values []any
 }
 
 func init() { gob.Register(Chunk{}) }
 
-// DefaultChunkSize is the value-count cap per Chunk used by helpers that
-// chunk automatically (e.g. remote.StreamTuples). It is sized so a chunk
-// of typical tuples stays far below MaxFramePayload.
+// DefaultChunkSize is the value-count cap per Chunk that
+// remote.StreamTuples sends.
 const DefaultChunkSize = 64

@@ -1,14 +1,14 @@
-// Package transport provides the message pipes a multi-process deployment
-// of the engine would run on: an in-process reference implementation and a
-// TCP implementation with gob encoding.
+// Package transport provides the message pipes network ingestion runs
+// on: a TCP implementation with gob encoding, used by internal/remote to
+// carry tuples from producer processes to a join server, and an
+// in-process pipe with the same interface for tests.
 //
-// The local engine (engine.LocalCluster) moves messages over Go channels;
-// this package supplies the equivalent abstraction across process and host
-// boundaries, so a topology can be split over workers the way the paper's
-// Storm deployment spreads bolts over a cluster. The stream-join system
-// itself is transport-agnostic: everything it sends (tuples, load reports,
-// migration batches, routing updates) is a plain Go value registered for
-// encoding with RegisterTypes.
+// The join engine itself moves messages over Go channels and does not use
+// this package. A TCP connection carries no session state: it is ordered
+// while it lasts, and an I/O error or a peer close ends it for good.
+// There is no reconnect and no resend; the caller sees the error (or EOF)
+// and decides what that means. Payload types travelling as Message.Value
+// must be registered for gob encoding with RegisterValue.
 package transport
 
 import (
@@ -30,9 +30,9 @@ type Message struct {
 	Value    any
 }
 
-// Conn is a bidirectional, ordered, reliable message pipe. Send and Recv
-// may be used concurrently with each other; two goroutines must not call
-// Send (or Recv) at the same time.
+// Conn is a bidirectional, ordered message pipe. Send and Recv may be
+// used concurrently with each other; two goroutines must not call Send
+// (or Recv) at the same time.
 type Conn interface {
 	// Send transmits one message.
 	Send(m Message) error
@@ -46,34 +46,8 @@ type Conn interface {
 // ErrClosed is returned by Send on a closed pipe.
 var ErrClosed = errors.New("transport: connection closed")
 
-// Options tunes network-level timeouts for TCP connections. The zero
-// value keeps reads and writes unbounded (the historical behaviour) and
-// applies DefaultDialTimeout to dials.
-type Options struct {
-	// DialTimeout bounds connection establishment (default
-	// DefaultDialTimeout; negative disables).
-	DialTimeout time.Duration
-	// ReadTimeout, when positive, bounds each Recv: a peer that accepts
-	// and then hangs surfaces as a deadline error instead of blocking
-	// forever.
-	ReadTimeout time.Duration
-	// WriteTimeout, when positive, bounds each Send.
-	WriteTimeout time.Duration
-}
-
-// DefaultDialTimeout applies when Options.DialTimeout is zero.
+// DefaultDialTimeout bounds connection establishment in Dial.
 const DefaultDialTimeout = 10 * time.Second
-
-func (o Options) dialTimeout() time.Duration {
-	switch {
-	case o.DialTimeout < 0:
-		return 0
-	case o.DialTimeout == 0:
-		return DefaultDialTimeout
-	default:
-		return o.DialTimeout
-	}
-}
 
 // RegisterValue registers a payload type for gob encoding. Call once per
 // concrete type that will travel as Message.Value over a TCP connection.
@@ -152,28 +126,23 @@ type tcpConn struct {
 	conn net.Conn
 	enc  *gob.Encoder
 	dec  *gob.Decoder
-	opts Options
 
 	sendMu sync.Mutex
 	recvMu sync.Mutex
 }
 
 // newTCPConn wraps an established network connection.
-func newTCPConn(conn net.Conn, opts Options) Conn {
+func newTCPConn(conn net.Conn) Conn {
 	return &tcpConn{
 		conn: conn,
 		enc:  gob.NewEncoder(conn),
 		dec:  gob.NewDecoder(conn),
-		opts: opts,
 	}
 }
 
 func (c *tcpConn) Send(m Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	if c.opts.WriteTimeout > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
-	}
 	if err := c.enc.Encode(&m); err != nil {
 		return fmt.Errorf("transport: send: %w", err)
 	}
@@ -183,9 +152,6 @@ func (c *tcpConn) Send(m Message) error {
 func (c *tcpConn) Recv() (Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	if c.opts.ReadTimeout > 0 {
-		_ = c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
-	}
 	var m Message
 	if err := c.dec.Decode(&m); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
@@ -204,22 +170,16 @@ func (c *tcpConn) Close() error { return c.conn.Close() }
 
 // Server accepts transport connections on a TCP listener.
 type Server struct {
-	ln   net.Listener
-	opts Options
+	ln net.Listener
 }
 
-// Listen starts a transport server on addr (e.g. "127.0.0.1:0") with
-// default options.
-func Listen(addr string) (*Server, error) { return ListenOpts(addr, Options{}) }
-
-// ListenOpts starts a transport server whose accepted connections use
-// the given timeout options.
-func ListenOpts(addr string, opts Options) (*Server, error) {
+// Listen starts a transport server on addr (e.g. "127.0.0.1:0").
+func Listen(addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
-	return &Server{ln: ln, opts: opts}, nil
+	return &Server{ln: ln}, nil
 }
 
 // Addr returns the bound address (useful with port 0).
@@ -227,44 +187,22 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Accept blocks for the next inbound connection.
 func (s *Server) Accept() (Conn, error) {
-	conn, err := s.acceptRaw()
-	if err != nil {
-		return nil, err
-	}
-	return newTCPConn(conn, s.opts), nil
-}
-
-// acceptRaw accepts the next inbound connection without gob framing
-// (used by the reliable layer, which runs its own frame codec).
-func (s *Server) acceptRaw() (net.Conn, error) {
 	conn, err := s.ln.Accept()
 	if err != nil {
 		return nil, fmt.Errorf("transport: accept: %w", err)
 	}
-	return conn, nil
+	return newTCPConn(conn), nil
 }
 
 // Close stops the listener.
 func (s *Server) Close() error { return s.ln.Close() }
 
-// Dial connects to a transport server with default options.
-func Dial(addr string) (Conn, error) { return DialOpts(addr, Options{}) }
-
-// DialOpts connects to a transport server, bounding the dial by
-// Options.DialTimeout and later reads/writes by the respective timeouts.
-func DialOpts(addr string, opts Options) (Conn, error) {
-	conn, err := dialRaw(addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	return newTCPConn(conn, opts), nil
-}
-
-// dialRaw establishes the network connection without gob framing.
-func dialRaw(addr string, opts Options) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, opts.dialTimeout())
+// Dial connects to a transport server, giving up after
+// DefaultDialTimeout. It makes one attempt.
+func Dial(addr string) (Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial: %w", err)
 	}
-	return conn, nil
+	return newTCPConn(conn), nil
 }
